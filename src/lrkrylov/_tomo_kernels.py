@@ -1,133 +1,116 @@
-"""Siddon-style ray tracing kernels for the parallel-beam projector.
+"""Siddon ray tracing for the parallel-beam projector (Siddon, Med. Phys.
+1985; Jacobs et al. 1998), vectorized over the detectors of one angle.
 
-The traversal is the hot loop when assembling the tomography operator
-(O(n) cells per ray, thousands of rays), so it carries a numba ``@njit``
-version alongside a pure-numpy/python fallback.  Set ``LRK_NO_NUMBA=1``
-to force the fallback; ``benchmarks/bench_tomo.py`` compares both paths.
+Each ray's crossings with the x and y grid planes, clipped to its window
+inside the grid and sorted, are candidate cell boundaries.  From each the
+walk goes on to the nearest plane ahead by more than ``_EPS``; candidates
+it steps over (planes grazed within ``_EPS``) are dropped.  The chords
+between the remaining boundaries go to the cell of their midpoint.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("LRK_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-# each ray crosses at most 2n+1 cells
 _EPS = 1e-12
 
 
-def _trace_all_rays(n, angles, offsets, rows, cols, vals):
-    """Fill COO triplets for every (angle, detector) ray; return entry count.
+def _next_plane(p, d, t):
+    """Parameter of the first plane ahead of p + t*d by more than _EPS."""
+    pos = p[:, None] + t * d
+    if d > 0.0:
+        nxt = np.floor(pos + _EPS) + 1.0
+    else:
+        nxt = np.ceil(pos - _EPS) - 1.0
+    return (nxt - p[:, None]) / d
+
+
+def _trace_angle(n, theta, offsets):
+    """Chords of every ray of one angle; return (ray, col, length) arrays
+    in ray-major, increasing-t order."""
+    ct = np.cos(theta)
+    st = np.sin(theta)
+    px = 0.5 * n + offsets * ct
+    py = 0.5 * n + offsets * st
+    # parametric window [tmin, tmax] where each ray is inside [0, n]^2
+    tmin = np.full(offsets.shape, -1e30)
+    tmax = np.full(offsets.shape, 1e30)
+    axes = []
+    for p, d in ((px, -st), (py, ct)):
+        if abs(d) <= _EPS:  # parallel to these planes: inside or missed
+            tmax = np.where((p > 0.0) & (p < n), tmax, -1e30)
+            continue
+        t0 = (0.0 - p) / d
+        t1 = (n - p) / d
+        tmin = np.maximum(tmin, np.minimum(t0, t1))
+        tmax = np.minimum(tmax, np.maximum(t0, t1))
+        axes.append((p, d))
+    rays = np.flatnonzero(~(tmax - tmin < _EPS))
+    tmin = tmin[rays, None]
+    tmax = tmax[rays, None]
+    axes = [(p[rays], d) for p, d in axes]
+    planes = np.arange(n + 1, dtype=np.float64)
+    t = np.concatenate(
+        [(planes - p[:, None]) / d for p, d in axes] + [tmin, tmax], axis=1)
+    np.clip(t, tmin, tmax, out=t)
+    t.sort(axis=1)
+    tnext = np.broadcast_to(tmax, t.shape)
+    for p, d in axes:
+        tnext = np.minimum(tnext, _next_plane(p, d, t))
+    # The walk from tmin visits a candidate when no candidate it visited
+    # before has its next plane beyond it.  That depends only on earlier
+    # candidates, so rounds started from "all visited" settle on the walk.
+    # A round is final when no candidate that joined or left the visited
+    # set lifts the reach; more than one round takes a ray grazing two
+    # planes at once.
+    visited = np.ones(t.shape, dtype=bool)
+    lift = tnext
+    while True:
+        reach = np.maximum.accumulate(lift, axis=1)[:, :-1]
+        visited[:, 1:] = t[:, 1:] >= reach
+        walk = np.where(visited, tnext, -np.inf)
+        if not ((walk[:, 1:] != lift[:, 1:]) & (tnext[:, 1:] > reach)).any():
+            break
+        lift = walk
+    seg = tnext - t
+    walked = visited & (t < tmax - _EPS) & (seg > _EPS)
+    ray, _ = np.nonzero(walked)
+    ray = rays[ray]
+    seg = seg[walked]
+    # the cell holding the midpoint of each chord
+    tm = 0.5 * (t[walked] + tnext[walked])
+    j = np.floor(px[ray] + tm * -st)
+    i = np.floor(py[ray] + tm * ct)
+    keep = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    cols = (i[keep] + j[keep] * n).astype(np.int64)
+    return ray[keep], cols, seg[keep]
+
+
+def trace_rays(n, angles, offsets):
+    """Trace every (angle, detector) ray; return COO triplets
+    (rows, cols, vals).
 
     Grid is [0, n] x [0, n]; pixel (i, j) occupies x in [j, j+1],
     y in [i, i+1] and has flat (column-major) index i + j*n.  The ray for
     angle theta and detector offset s is p(t) = c + s*e + t*d with
-    c = (n/2, n/2), e = (cos t, sin t), d = (-sin t, cos t); weights are
-    exact chord lengths.
-    """
-    n_det = offsets.shape[0]
-    pos = 0
-    for a in range(angles.shape[0]):
-        ct = np.cos(angles[a])
-        st = np.sin(angles[a])
-        dx = -st
-        dy = ct
-        for k in range(n_det):
-            px = 0.5 * n + offsets[k] * ct
-            py = 0.5 * n + offsets[k] * st
-            # parametric window where the ray is inside [0,n]^2
-            tmin = -1e30
-            tmax = 1e30
-            if abs(dx) > _EPS:
-                t0 = (0.0 - px) / dx
-                t1 = (n - px) / dx
-                lo = min(t0, t1)
-                hi = max(t0, t1)
-                if lo > tmin:
-                    tmin = lo
-                if hi < tmax:
-                    tmax = hi
-            elif px <= 0.0 or px >= n:
-                continue
-            if abs(dy) > _EPS:
-                t0 = (0.0 - py) / dy
-                t1 = (n - py) / dy
-                lo = min(t0, t1)
-                hi = max(t0, t1)
-                if lo > tmin:
-                    tmin = lo
-                if hi < tmax:
-                    tmax = hi
-            elif py <= 0.0 or py >= n:
-                continue
-            if tmax - tmin < _EPS:
-                continue
-            row = a * n_det + k
-            t = tmin
-            while t < tmax - _EPS:
-                # cell containing the midpoint of the next segment
-                tx = 1e30
-                if abs(dx) > _EPS:
-                    x = px + t * dx
-                    if dx > 0.0:
-                        nxt = np.floor(x + _EPS) + 1.0
-                    else:
-                        nxt = np.ceil(x - _EPS) - 1.0
-                    tx = (nxt - px) / dx
-                ty = 1e30
-                if abs(dy) > _EPS:
-                    y = py + t * dy
-                    if dy > 0.0:
-                        nxt = np.floor(y + _EPS) + 1.0
-                    else:
-                        nxt = np.ceil(y - _EPS) - 1.0
-                    ty = (nxt - py) / dy
-                tnext = min(tx, ty)
-                if tnext > tmax:
-                    tnext = tmax
-                seg = tnext - t
-                if seg > _EPS:
-                    tm = 0.5 * (t + tnext)
-                    j = int(np.floor(px + tm * dx))
-                    i = int(np.floor(py + tm * dy))
-                    if 0 <= i < n and 0 <= j < n:
-                        rows[pos] = row
-                        cols[pos] = i + j * n
-                        vals[pos] = seg
-                        pos += 1
-                t = tnext
-    return pos
-
-
-if USE_NUMBA:
-    _trace_all_rays_jit = njit(cache=True)(_trace_all_rays)
-else:
-    _trace_all_rays_jit = _trace_all_rays
-
-
-def trace_rays(n, angles, offsets, use_numba=None):
-    """Trace every ray; return COO triplets (rows, cols, vals).
-
-    ``use_numba`` overrides the module-level default (used by the
-    benchmark to time both code paths in one process).
+    c = (n/2, n/2), e = (cos theta, sin theta), d = (-sin theta, cos theta);
+    weights are exact chord lengths.  Row ``a * len(offsets) + k`` is the
+    ray of angle ``a`` and detector ``k``; within a row, entries follow
+    the ray in increasing t.
     """
     angles = np.ascontiguousarray(angles, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    cap = angles.shape[0] * offsets.shape[0] * (2 * n + 2)
+    n_det = offsets.shape[0]
+    # a ray yields at most one chord per candidate boundary, and there are
+    # at most 2n+3 of those; pages past the last entry are never touched
+    cap = angles.shape[0] * n_det * (2 * n + 3)
     rows = np.empty(cap, dtype=np.int64)
     cols = np.empty(cap, dtype=np.int64)
     vals = np.empty(cap, dtype=np.float64)
-    if use_numba is None:
-        kernel = _trace_all_rays_jit
-    elif use_numba and USE_NUMBA:
-        kernel = _trace_all_rays_jit
-    else:
-        kernel = _trace_all_rays
-    count = kernel(n, angles, offsets, rows, cols, vals)
-    return rows[:count], cols[:count], vals[:count]
+    pos = 0
+    for a in range(angles.shape[0]):
+        ray, col, seg = _trace_angle(n, angles[a], offsets)
+        end = pos + seg.size
+        np.add(ray, a * n_det, out=rows[pos:end])
+        cols[pos:end] = col
+        vals[pos:end] = seg
+        pos = end
+    return rows[:pos], cols[:pos], vals[:pos]

@@ -10,6 +10,7 @@ runs.
 
 import argparse
 import concurrent.futures
+import inspect
 import json
 import os
 import sys
@@ -26,6 +27,17 @@ SOLVER_NAMES = frozenset({
     "irn-gmres-nnrp", "irn-lsqr-nnrp", "fgmres-nnrp", "flsqr-nnrp",
     "fgmres-nnrp-v", "flsqr-nnrp-v", "svt",
 })
+
+# solvers built on the Arnoldi process, which needs a square operator
+GMRES_FAMILY = frozenset({
+    "gmres", "rs-lr-gmres", "lr-fgmres", "irn-gmres-nnrp", "fgmres-nnrp",
+    "fgmres-nnrp-v",
+})
+# rank parameters of the truncating solvers; each must lie in [1, n]
+RANK_KEYS = {"rs-lr-gmres": ("truncation_rank",),
+             "lr-fgmres": ("kappa_B", "kappa"),
+             "lr-flsqr": ("kappa_B", "kappa")}
+_DEFAULT_RANK = 30
 
 
 class ConfigError(Exception):
@@ -80,13 +92,13 @@ def run_solver(spec, problem):
     if name == "rs-lr-gmres":
         return krylov.rs_lr_gmres(
             op, b, int(spec.get("restart_len", 40)),
-            int(spec.get("truncation_rank", 30)),
+            int(spec.get("truncation_rank", _DEFAULT_RANK)),
             int(spec.get("max_outer", 5)), stop, x_exact)
     if name in ("lr-fgmres", "lr-flsqr"):
         fn = krylov.lr_fgmres if name == "lr-fgmres" else krylov.lr_flsqr
-        return fn(op, b, int(spec.get("kappa_B", 30)),
-                  int(spec.get("kappa", 30)), max_iter, stop, lam_rule,
-                  x_exact)
+        return fn(op, b, int(spec.get("kappa_B", _DEFAULT_RANK)),
+                  int(spec.get("kappa", _DEFAULT_RANK)), max_iter, stop,
+                  lam_rule, x_exact)
     if name in ("irn-gmres-nnrp", "irn-lsqr-nnrp"):
         inner = "arnoldi" if name == "irn-gmres-nnrp" else "gkb"
         return nnr.irn_nnrp(op, b, cfg, inner=inner, x_exact=x_exact)
@@ -135,9 +147,29 @@ def _cross_check_residuals(report, problem, tol=1e-8):
             f"disagrees with true residual {true:.3e}")
 
 
+def _validate_solver(spec, problem):
+    name, kind = spec["name"], problem.get("type")
+    if name in GMRES_FAMILY and kind in ("phantom", "inpainting"):
+        raise ConfigError(f"solver {name}: needs a square operator, and "
+                          f"{kind!r} operators are not square")
+    n = problem.get("n")
+    if n is None and kind == "inpainting":
+        n = inspect.signature(
+            problems.inpainting_problem).parameters["n"].default
+    for key in RANK_KEYS.get(name, ()):
+        rank = spec.get(key, _DEFAULT_RANK)
+        top = n if isinstance(n, int) else rank
+        if not (isinstance(rank, int) and 1 <= rank <= top):
+            raise ConfigError(f"solver {name}: {key} must be an integer in "
+                              f"[1, n] (n = {n}), got {rank!r}")
+
+
 def validate_config(config):
-    if "problem" not in config:
+    problem = config.get("problem")
+    if problem is None:
         raise ConfigError("problem: missing section")
+    if not isinstance(problem, dict):
+        raise ConfigError("problem: must be a JSON object")
     solvers = config.get("solvers")
     if not solvers:
         raise ConfigError("solvers: the solver list is empty")
@@ -145,6 +177,7 @@ def validate_config(config):
         name = spec.get("name")
         if name not in SOLVER_NAMES:
             raise ConfigError(f"solver.name: unknown solver {name!r}")
+        _validate_solver(spec, problem)
     names = [s["name"] for s in solvers]
     if len(set(names)) != len(names):
         raise ConfigError("solvers: duplicate solver names")
@@ -173,35 +206,35 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
         return 1
 
     def job(spec):
-        report = run_solver(spec, problem)
-        if cross_check:
-            _cross_check_residuals(report, problem)
-        _write_report(report, spec["name"], problem, outdir, emit_images,
-                      emit_spectra)
-        return spec["name"], report
-
-    max_workers = max(int(os.environ.get("LRK_THREADS", "1")), 1)
-    summary = {}
-    failed = False
-    specs = config["solvers"]
-    try:
-        if max_workers == 1:
-            results = [job(s) for s in specs]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-                results = list(pool.map(job, specs))
-    except Exception:
-        traceback.print_exc()
-        failed = True
-        results = []
-    for name, report in results:
+        name = spec["name"]
+        try:
+            report = run_solver(spec, problem)
+            if cross_check:
+                _cross_check_residuals(report, problem)
+            _write_report(report, name, problem, outdir, emit_images,
+                          emit_spectra)
+        except Exception as exc:
+            # one failed solver must not take down the others' results
+            traceback.print_exc()
+            return name, {"status": "failed",
+                          "error": f"{type(exc).__name__}: {exc}"}
         best_iter, best_err = report.best
-        summary[name] = {
+        return name, {
             "min_rel_error": None if np.isnan(best_err) else best_err,
             "best_iteration": int(best_iter),
             "stop_reason": report.stop_reason,
             "iterations_run": len(report.iterations),
         }
+
+    max_workers = max(int(os.environ.get("LRK_THREADS", "1")), 1)
+    specs = config["solvers"]
+    if max_workers == 1:
+        results = [job(s) for s in specs]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
+            results = list(pool.map(job, specs))
+    summary = dict(results)
+    failed = any(entry.get("status") == "failed" for entry in summary.values())
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2))
     return 2 if failed else 0
 

@@ -234,6 +234,7 @@ def tomography_operator(n, angles, detector_count):
     M = angles.size * detector_count
     N = n * n
     A = sp.csr_matrix((vals, (rows, cols)), shape=(M, N))
+    del rows, cols, vals  # free the triplets before the transpose is built
     At = A.T.tocsr()
     return LinearOperator(
         rows=M,

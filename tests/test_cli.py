@@ -47,6 +47,61 @@ class TestValidation:
         solvers = [{"name": n} for n in sorted(cli.SOLVER_NAMES)]
         validate_config({"problem": {}, "solvers": solvers})
 
+    @pytest.mark.parametrize("kind", ["phantom", "inpainting"])
+    @pytest.mark.parametrize("name", sorted(cli.GMRES_FAMILY))
+    def test_gmres_family_needs_square_problem(self, name, kind):
+        with pytest.raises(ConfigError, match="square"):
+            validate_config({"problem": {"type": kind, "n": 16},
+                             "solvers": [{"name": name}]})
+
+    @pytest.mark.parametrize("kind", ["phantom", "inpainting"])
+    def test_lsqr_family_accepted_on_nonsquare_problems(self, kind):
+        names = sorted(cli.SOLVER_NAMES - cli.GMRES_FAMILY)
+        solvers = [{"name": n, "kappa": 2, "kappa_B": 2} for n in names]
+        validate_config({"problem": {"type": kind, "n": 16},
+                         "solvers": solvers})
+
+    @pytest.mark.parametrize("name,key", [
+        ("rs-lr-gmres", "truncation_rank"), ("lr-fgmres", "kappa_B"),
+        ("lr-fgmres", "kappa"), ("lr-flsqr", "kappa_B"),
+        ("lr-flsqr", "kappa")])
+    @pytest.mark.parametrize("rank", [0, -1, 17])
+    def test_rank_outside_image_side(self, name, key, rank):
+        spec = {"name": name, "truncation_rank": 2, "kappa": 2, "kappa_B": 2}
+        spec[key] = rank
+        with pytest.raises(ConfigError, match=key):
+            validate_config({"problem": {"type": "star", "n": 16},
+                             "solvers": [spec]})
+
+    def test_rank_bounds_are_inclusive(self):
+        spec = {"name": "lr-flsqr", "kappa": 1, "kappa_B": 16}
+        validate_config({"problem": {"type": "star", "n": 16},
+                         "solvers": [spec]})
+
+    def test_default_rank_checked_against_image_side(self):
+        # kappa_B and kappa default to 30, more than n = 16
+        with pytest.raises(ConfigError, match="kappa"):
+            validate_config({"problem": {"type": "star", "n": 16},
+                             "solvers": [{"name": "lr-fgmres"}]})
+
+    def test_inpainting_default_side_bounds_rank(self):
+        problem = {"type": "inpainting"}  # n defaults to 64
+        validate_config({"problem": problem, "solvers": [
+            {"name": "lr-flsqr", "kappa": 64, "kappa_B": 64}]})
+        with pytest.raises(ConfigError, match="kappa"):
+            validate_config({"problem": problem, "solvers": [
+                {"name": "lr-flsqr", "kappa": 65, "kappa_B": 64}]})
+
+    def test_non_integer_rank(self):
+        with pytest.raises(ConfigError, match="integer"):
+            validate_config({"problem": {"type": "star", "n": 16},
+                             "solvers": [{"name": "lr-flsqr",
+                                          "kappa": "two", "kappa_B": 2}]})
+
+    def test_problem_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="object"):
+            validate_config({"problem": [], "solvers": [{"name": "lsqr"}]})
+
 
 class TestExitCodes:
     def test_bad_json(self, tmp_path):
@@ -73,6 +128,23 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_solver",
                             lambda spec, prob: 1 / 0)
         assert cli.run(path, out_dir=str(tmp_path / "o")) == 2
+
+    def test_gmres_on_tomography_is_exit_1(self, tmp_path):
+        cfg = base_config(problem={"type": "phantom", "n": 16,
+                                   "n_angles": 4})
+        cfg["solvers"] = [{"name": "lsqr", "max_iter": 3},
+                          {"name": "gmres", "max_iter": 3}]
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+
+    def test_rank_above_image_side_is_exit_1(self, tmp_path):
+        cfg = base_config()
+        cfg["solvers"] = [{"name": "lr-flsqr", "kappa_B": 17, "kappa": 2,
+                           "max_iter": 3}]
+        path = write_config(tmp_path / "c.json", cfg)
+        assert cli.run(path, out_dir=str(tmp_path / "o")) == 1
 
     def test_validate_only(self, tmp_path, capsys):
         cfg = base_config()
@@ -135,6 +207,29 @@ class TestArtifacts:
         cfg = base_config(cross_check_residuals=True)
         path = write_config(tmp_path / "c.json", cfg)
         assert cli.run(path, out_dir=str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_solver_keeps_other_results(self, tmp_path, monkeypatch,
+                                               threads):
+        # lr-flsqr records the residual of the untruncated iterate, so the
+        # cross-check raises for it while gmres passes
+        monkeypatch.setenv("LRK_THREADS", threads)
+        cfg = base_config(cross_check_residuals=True)
+        cfg["solvers"] = [{"name": "gmres", "max_iter": 5},
+                          {"name": "lr-flsqr", "kappa_B": 4, "kappa": 4,
+                           "max_iter": 10}]
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == ["gmres", "lr-flsqr"]
+        assert summary["gmres"]["min_rel_error"] > 0
+        assert summary["gmres"]["iterations_run"] == 5
+        assert "status" not in summary["gmres"]
+        failed = summary["lr-flsqr"]
+        assert failed["status"] == "failed"
+        assert "disagrees with true residual" in failed["error"]
+        assert (out / "gmres_iterations.csv").exists()
 
     def test_threaded_runs_match_serial(self, tmp_path, monkeypatch):
         cfg = base_config()

@@ -1,0 +1,94 @@
+"""The vectorized Siddon tracer against the scalar oracle loop.
+
+Row and column indices must match entry for entry, in the same order, and
+chord lengths must agree to 1e-12.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import siddon_oracle
+from lrkrylov._tomo_kernels import trace_rays
+
+VAL_TOL = 1e-12
+
+
+def detector_offsets(n, detector_count):
+    spacing = n / detector_count
+    return (np.arange(detector_count) - (detector_count - 1) / 2.0) * spacing
+
+
+def assert_matches_oracle(n, angles, offsets):
+    rows, cols, vals = trace_rays(n, angles, offsets)
+    o_rows, o_cols, o_vals = siddon_oracle.trace_rays(n, angles, offsets)
+    np.testing.assert_array_equal(rows, o_rows)
+    np.testing.assert_array_equal(cols, o_cols)
+    np.testing.assert_allclose(vals, o_vals, rtol=0, atol=VAL_TOL)
+    assert rows.dtype == cols.dtype == np.int64
+    assert vals.dtype == np.float64
+
+
+GEOMETRIES = {
+    # n=128, 60 angles over 90 degrees, 128 detectors
+    "tomo-irn": (128, np.deg2rad(np.linspace(0.0, 90.0, 60, endpoint=False)),
+                 detector_offsets(128, 128)),
+    "180-angles": (64, np.deg2rad(np.linspace(0.0, 179.0, 180)),
+                   detector_offsets(64, 64)),
+    # dx or dy is 0 up to the rounding of cos/sin, so only one family of
+    # grid planes is crossed; 17 detectors put one ray through the centre
+    "axis-aligned": (16, np.array([0.0, np.pi / 2, np.pi]),
+                     detector_offsets(16, 16)),
+    "axis-aligned-odd-detectors": (16, np.array([0.0, np.pi / 2, np.pi]),
+                                   detector_offsets(16, 17)),
+    # diagonal rays and half-integer offsets pass through lattice points
+    "grid-corners": (16, np.array([np.pi / 4, 3 * np.pi / 4,
+                                   np.arctan(0.5), np.arctan(2.0)]),
+                     np.arange(-9.0, 9.5, 0.5)),
+    # nearly vertical or horizontal rays lying within _EPS of a grid line
+    # for their whole length: the walk steps over that line
+    "grazing": (4, np.array([2.1969638919728707e-12, -3e-12,
+                             np.pi / 2 + 1e-12]),
+                np.array([-1.0, 0.0, 1.0])),
+    "more-detectors-odd-n": (17, np.deg2rad(np.linspace(0.0, 120.0, 25)),
+                             detector_offsets(17, 23)),
+    "fewer-detectors-odd-n": (15, np.deg2rad(np.linspace(0.0, 120.0, 25)),
+                              detector_offsets(15, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_matches_oracle(name):
+    assert_matches_oracle(*GEOMETRIES[name])
+
+
+def test_axis_aligned_rays_have_unit_chords():
+    rows, cols, vals = trace_rays(8, np.array([0.0]), detector_offsets(8, 8))
+    np.testing.assert_allclose(vals, 1.0)
+    assert np.array_equal(np.bincount(rows), np.full(8, 8))
+
+
+def test_rays_missing_the_grid_are_empty():
+    rows, cols, vals = trace_rays(8, np.array([0.3, 1.2]),
+                                  np.array([-20.0, 20.0]))
+    assert rows.size == cols.size == vals.size == 0
+
+
+# rays near the axes and detectors on the half-integer lattice meet grid
+# planes and corners within rounding, where the walk's _EPS rules matter
+_TINY = st.sampled_from([0.0, 5e-13, -1e-12, 2e-12, -3e-12, 1e-11, 1e-10])
+ANGLES = st.one_of(
+    st.floats(min_value=-7.0, max_value=7.0),
+    st.builds(lambda k, e: k * np.pi / 4 + e, st.integers(0, 8), _TINY))
+OFFSETS = st.one_of(
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.builds(lambda k, e: k / 2 + e, st.integers(-60, 60), _TINY))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=20),
+       angles=st.lists(ANGLES, min_size=1, max_size=4),
+       offsets=st.lists(OFFSETS, min_size=1, max_size=8))
+def test_random_geometries_match_oracle(n, angles, offsets):
+    assert_matches_oracle(n, np.array(angles), np.array(offsets))
