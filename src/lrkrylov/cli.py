@@ -38,6 +38,19 @@ RANK_KEYS = {"rs-lr-gmres": ("truncation_rank",),
              "lr-fgmres": ("kappa_B", "kappa"),
              "lr-flsqr": ("kappa_B", "kappa")}
 _DEFAULT_RANK = 30
+# lambda rules each solver acts on; the flexible solvers never project the
+# exact solution, so "optimal" would silently run them with lambda = 0,
+# and rs-lr-gmres and svt have no lambda at all
+_ALL_RULES = frozenset({"zero", "fixed", "secant", "optimal"})
+_NO_OPTIMAL = frozenset({"zero", "fixed", "secant"})
+LAMBDA_RULES = {
+    "gmres": _ALL_RULES, "lsqr": _ALL_RULES,
+    "irn-gmres-nnrp": _ALL_RULES, "irn-lsqr-nnrp": _ALL_RULES,
+    "lr-fgmres": _NO_OPTIMAL, "lr-flsqr": _NO_OPTIMAL,
+    "fgmres-nnrp": _NO_OPTIMAL, "flsqr-nnrp": _NO_OPTIMAL,
+    "fgmres-nnrp-v": _NO_OPTIMAL, "flsqr-nnrp-v": _NO_OPTIMAL,
+    "rs-lr-gmres": frozenset({"zero"}), "svt": frozenset({"zero"}),
+}
 
 
 class ConfigError(Exception):
@@ -152,6 +165,10 @@ def _validate_solver(spec, problem):
     if name in GMRES_FAMILY and kind in ("phantom", "inpainting"):
         raise ConfigError(f"solver {name}: needs a square operator, and "
                           f"{kind!r} operators are not square")
+    rule = spec.get("lambda_rule", "zero")
+    if not isinstance(rule, str) or rule not in LAMBDA_RULES[name]:
+        raise ConfigError(f"solver {name}: lambda_rule must be one of "
+                          f"{sorted(LAMBDA_RULES[name])}, got {rule!r}")
     n = problem.get("n")
     if n is None and kind == "inpainting":
         n = inspect.signature(
@@ -201,6 +218,8 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
     cross_check = bool(config.get("cross_check_residuals", False))
     try:
         problem = build_problem(config["problem"], seed_override)
+        if not np.all(np.isfinite(problem.b)):
+            raise ConfigError("problem: the data b has non-finite entries")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Arnoldi / Golub-Kahan factorizations (standard and flexible), projected
-Tikhonov solves, and the solvers built on them: GMRES, LSQR, RS-LR-GMRES,
-LR-FGMRES, LR-FLSQR.
+Tikhonov solves with their regularization-parameter rules, the hybrid
+projection loop every Arnoldi/GKB solver runs, and the solvers of this
+module: GMRES, LSQR, RS-LR-GMRES, LR-FGMRES, LR-FLSQR.
 
 All bases are kept orthonormal with one full re-orthogonalization pass;
 bases are stored dense (desk scale, N <= 65536, <= 200 steps).
@@ -10,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lowrank import svd, truncate
-from .linops import unvec
+from .lowrank import truncate
 from .report import Discrepancy, SolveReport
 
 __all__ = [
@@ -22,6 +22,9 @@ __all__ = [
     "gkb_start",
     "gkb_step",
     "projected_tikhonov",
+    "secant_lambda_update",
+    "optimal_lambda_search",
+    "hybrid",
     "gmres",
     "lsqr",
     "rs_lr_gmres",
@@ -201,115 +204,181 @@ def _stop_from(stop):
     raise TypeError(f"unsupported stopping rule {stop!r}")
 
 
+def secant_lambda_update(history, epsilon, theta, h_norm2=1.0, lam_max=1e10):
+    """Next regularization parameter from secant iteration on
+    d(lambda) = residual(lambda) - theta * epsilon.
+
+    ``history`` holds (lambda_j, residual_j) pairs, oldest first.
+    Bootstrap: lambda_0 = 0 by convention; if its residual misses the
+    band [epsilon, theta * epsilon], probe lambda_1 = 1e-4 * h_norm2.
+    """
+    if not history:
+        raise ValueError("need at least one (lambda, residual) pair")
+    target = theta * epsilon
+    lam_j, res_j = history[-1]
+    d_j = res_j - target
+    if epsilon <= res_j <= target:
+        return lam_j
+    if len(history) == 1:
+        probe = min(1e-4 * h_norm2, lam_max)
+        return probe if probe != lam_j else lam_j
+    lam_p, res_p = history[-2]
+    d_p = res_p - target
+    if d_j == d_p:
+        return lam_j
+    lam = lam_j - d_j * (lam_j - lam_p) / (d_j - d_p)
+    return float(min(max(lam, 0.0), lam_max))
+
+
+def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60):
+    """Minimize ||target - y(lambda)|| over a log grid refined by
+    golden-section search (test-harness oracle)."""
+    H = np.asarray(H, dtype=float)
+
+    def err(lam):
+        y, _ = projected_tikhonov(H, beta, lam)
+        return float(np.linalg.norm(target - y))
+
+    if grid is None:
+        grid = np.logspace(-16, 2, 37)
+    vals = [err(g) for g in grid]
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    if lo >= hi:
+        return float(grid[i])
+    # golden section on log(lambda)
+    a, b = np.log(lo), np.log(hi)
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = err(np.exp(c)), err(np.exp(d))
+    for _ in range(golden_iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = err(np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = err(np.exp(d))
+    lam = float(np.exp((a + b) / 2.0))
+    if err(lam) > vals[i]:
+        lam = float(grid[i])
+    # the bottom of the grid stands for "no regularization needed"
+    return 0.0 if lam <= grid[1] else lam
+
+
 class _LambdaRule:
     """Per-iteration regularization parameter selection for hybrid solves.
 
     ``kind`` is one of zero / fixed / secant / optimal.  The secant rule
-    keeps a (lambda, residual) history and is reset per inner cycle; the
-    optimal rule needs the exact solution projected on the current basis.
+    keeps a (lambda, residual) history, so each inner cycle needs a fresh
+    rule; the optimal rule needs the exact solution projected on the
+    current basis.
     """
 
-    def __init__(self, kind="zero", value=0.0, stop=None, x_exact=None,
-                 lam_max=1e10):
+    def __init__(self, kind="zero", value=0.0, stop=None, lam_max=1e10):
         if kind not in ("zero", "fixed", "secant", "optimal"):
             raise ValueError(f"unknown lambda rule {kind!r}")
         self.kind = kind
-        self.value = value
         self.stop = stop
-        self.x_exact = x_exact
         self.lam_max = lam_max
-        self.reset()
-
-    def reset(self):
         self.history = []
-        self.current = self.value if self.kind == "fixed" else 0.0
-
-    def observe(self, H, residual):
-        if self.kind != "secant" or self.stop is None:
-            return
-        from .nnr import secant_lambda_update  # local: avoids import cycle
-
-        self.history.append((self.current, residual))
-        self.current = secant_lambda_update(
-            self.history, self.stop.epsilon, self.stop.theta,
-            h_norm2=float(np.linalg.norm(H) ** 2), lam_max=self.lam_max,
-        )
+        self.current = value if kind == "fixed" else 0.0
 
     def solve(self, H, beta, target=None):
         """Projected Tikhonov with the rule's current lambda; for the
-        optimal rule, pick lambda minimizing ||target - y(lambda)||."""
+        optimal rule, pick lambda minimizing ||target - y(lambda)||.
+        Returns (y, projected residual, lambda used)."""
         if self.kind == "optimal" and target is not None:
-            from .nnr import optimal_lambda_search
-
             self.current = optimal_lambda_search(H, beta, target)
-        y, resid = projected_tikhonov(H, beta, self.current)
-        lam_used = self.current
-        self.observe(H, resid)
-        return y, resid, lam_used
+        lam = self.current
+        y, resid = projected_tikhonov(H, beta, lam)
+        if self.kind == "secant" and self.stop is not None:
+            self.history.append((lam, resid))
+            self.current = secant_lambda_update(
+                self.history, self.stop.epsilon, self.stop.theta,
+                h_norm2=float(np.linalg.norm(H) ** 2), lam_max=self.lam_max,
+            )
+        return y, resid, lam
 
 
-def _make_rule(lambda_rule, stop, x_exact):
-    if lambda_rule is None:
-        return _LambdaRule("zero", stop=stop, x_exact=x_exact)
+def _make_rule(lambda_rule, stop):
+    """A rule from None (zero), a number (fixed), a kind name or a rule."""
     if isinstance(lambda_rule, _LambdaRule):
         return lambda_rule
+    if lambda_rule is None:
+        return _LambdaRule("zero", stop=stop)
     if isinstance(lambda_rule, (int, float)):
-        return _LambdaRule("fixed", value=float(lambda_rule), stop=stop,
-                           x_exact=x_exact)
-    return _LambdaRule(lambda_rule, stop=stop, x_exact=x_exact)
+        return _LambdaRule("fixed", value=float(lambda_rule), stop=stop)
+    return _LambdaRule(lambda_rule, stop=stop)
+
+
+def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
+           solution=None, x_target=None, x_exact=None, outer=0, offset=0,
+           after=None):
+    """The hybrid projection loop of every Arnoldi/GKB solver.
+
+    Step k expands the (flexible when ``precondition`` is given) Arnoldi
+    or Golub-Kahan factorization of ``op`` from ``b``, solves the projected
+    Tikhonov problem with ``rule`` (the optimal rule aims at V_k^T
+    ``x_target``), maps Z_k y through ``solution``, records the iterate as
+    iteration ``offset + k`` of cycle ``outer`` and tests the stops; then
+    ``after(x)`` runs.  Returns (x, projected residual, stop reason).
+    """
+    state = gkb_start(op, b) if gkb else arnoldi_start(op, b)
+    step = gkb_step if gkb else arnoldi_step
+    x, resid, reason = np.zeros(op.cols), state.beta, "max_iter"
+    for it in range(1, max_iter + 1):
+        step(state, op, precondition)
+        if state.k < it:
+            reason = "breakdown"
+            break
+        target = None
+        if rule.kind == "optimal" and x_target is not None:
+            target = state.V_mat()[:, : state.k].T @ x_target
+        proj = state.M_mat() if gkb else state.H_mat()
+        y, resid, lam = rule.solve(proj, state.beta, target)
+        x = state.Z_mat() @ y  # not kept: one assembled basis at a time
+        if solution is not None:
+            x = solution(x)
+        if report is not None:
+            report.record(offset + it, outer, x, resid, lam, x_exact)
+        if stop is not None and stop.satisfied(resid):
+            reason = "discrepancy"
+            break
+        if state.breakdown:
+            reason = "breakdown"
+            break
+        if after is not None:
+            after(x)
+    return x, resid, reason
+
+
+def run_hybrid(name, op, b, max_iter, stop, lambda_rule, x_exact, gkb,
+               **loop):
+    """A single-loop solve as a report: the ``hybrid`` loop, its stop
+    reason, and the spectrum of the best iterate."""
+    stop = _stop_from(stop)
+    rule = _make_rule(lambda_rule, stop)
+    report = SolveReport(solver=name)
+    _, _, report.stop_reason = hybrid(op, b, max_iter, rule, report, gkb,
+                                      stop=stop, x_exact=x_exact, **loop)
+    report.add_best_spectrum(op.image_side)
+    return report
 
 
 def gmres(op, b, max_iter, stop=None, lambda_rule=None, x_exact=None):
     """(Hybrid) GMRES via the Arnoldi factorization."""
-    stop = _stop_from(stop)
-    rule = _make_rule(lambda_rule, stop, x_exact)
-    state = arnoldi_start(op, b)
-    report = SolveReport(solver="gmres")
-    for it in range(1, max_iter + 1):
-        arnoldi_step(state, op)
-        target = None
-        if rule.kind == "optimal" and x_exact is not None:
-            target = state.V_mat()[:, : state.k].T @ x_exact
-        y, resid, lam = rule.solve(state.H_mat(), state.beta, target)
-        x = state.V_mat()[:, : state.k] @ y
-        report.record(it, 0, x, resid, lam, x_exact)
-        if stop is not None and stop.satisfied(resid):
-            report.stop_reason = "discrepancy"
-            break
-        if state.breakdown:
-            report.stop_reason = "breakdown"
-            break
-    if report.final_x is not None:
-        report.add_spectrum(0, svd(unvec(report.best_x, op.image_side)).sigma)
-    return report
+    return run_hybrid("gmres", op, b, max_iter, stop, lambda_rule, x_exact,
+                      gkb=False, x_target=x_exact)
 
 
 def lsqr(op, b, max_iter, stop=None, lambda_rule=None, x_exact=None):
     """(Hybrid) LSQR via Golub-Kahan bidiagonalization."""
-    stop = _stop_from(stop)
-    rule = _make_rule(lambda_rule, stop, x_exact)
-    state = gkb_start(op, b)
-    report = SolveReport(solver="lsqr")
-    for it in range(1, max_iter + 1):
-        gkb_step(state, op)
-        if state.k < it:
-            report.stop_reason = "breakdown"
-            break
-        target = None
-        if rule.kind == "optimal" and x_exact is not None:
-            target = state.V_mat().T @ x_exact
-        y, resid, lam = rule.solve(state.M_mat(), state.beta, target)
-        x = state.V_mat() @ y
-        report.record(it, 0, x, resid, lam, x_exact)
-        if stop is not None and stop.satisfied(resid):
-            report.stop_reason = "discrepancy"
-            break
-        if state.breakdown:
-            report.stop_reason = "breakdown"
-            break
-    if report.final_x is not None:
-        report.add_spectrum(0, svd(unvec(report.best_x, op.image_side)).sigma)
-    return report
+    return run_hybrid("lsqr", op, b, max_iter, stop, lambda_rule, x_exact,
+                      gkb=True, x_target=x_exact)
 
 
 def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
@@ -373,55 +442,23 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
         x = report.final_x
         if stopped:
             break
-    if report.final_x is not None:
-        report.add_spectrum(0, svd(unvec(report.best_x, n)).sigma)
-    return report
-
-
-def _lr_flexible(op, b, kappa_B, kappa, max_iter, stop, lambda_rule, x_exact,
-                 gkb_mode):
-    stop = _stop_from(stop)
-    rule = _make_rule(lambda_rule, stop, x_exact)
-    precond = lambda v: truncate(v, kappa_B)
-    if gkb_mode:
-        state = gkb_start(op, b)
-        step, proj = gkb_step, GkbState.M_mat
-        name = "lr-flsqr"
-    else:
-        if op.rows != op.cols:
-            raise ValueError("LR-FGMRES requires a square operator")
-        state = arnoldi_start(op, b)
-        step, proj = arnoldi_step, ArnoldiState.H_mat
-        name = "lr-fgmres"
-    report = SolveReport(solver=name)
-    for it in range(1, max_iter + 1):
-        step(state, op, precondition=precond)
-        if state.k < it:
-            report.stop_reason = "breakdown"
-            break
-        y, resid, lam = rule.solve(proj(state), state.beta)
-        x = truncate(state.Z_mat() @ y, kappa)
-        report.record(it, 0, x, resid, lam, x_exact)
-        if stop is not None and stop.satisfied(resid):
-            report.stop_reason = "discrepancy"
-            break
-        if state.breakdown:
-            report.stop_reason = "breakdown"
-            break
-    if report.final_x is not None:
-        report.add_spectrum(0, svd(unvec(report.best_x, op.image_side)).sigma)
+    report.add_best_spectrum(n)
     return report
 
 
 def lr_fgmres(op, b, kappa_B, kappa, max_iter, stop=None, lambda_rule=None,
               x_exact=None):
     """Flexible GMRES with rank-truncated solution basis vectors."""
-    return _lr_flexible(op, b, kappa_B, kappa, max_iter, stop, lambda_rule,
-                        x_exact, gkb_mode=False)
+    return run_hybrid("lr-fgmres", op, b, max_iter, stop, lambda_rule,
+                      x_exact, gkb=False,
+                      precondition=lambda v: truncate(v, kappa_B),
+                      solution=lambda x: truncate(x, kappa))
 
 
 def lr_flsqr(op, b, kappa_B, kappa, max_iter, stop=None, lambda_rule=None,
              x_exact=None):
     """Flexible LSQR with rank-truncated solution basis vectors."""
-    return _lr_flexible(op, b, kappa_B, kappa, max_iter, stop, lambda_rule,
-                        x_exact, gkb_mode=True)
+    return run_hybrid("lr-flsqr", op, b, max_iter, stop, lambda_rule,
+                      x_exact, gkb=True,
+                      precondition=lambda v: truncate(v, kappa_B),
+                      solution=lambda x: truncate(x, kappa))

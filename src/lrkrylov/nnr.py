@@ -3,8 +3,9 @@
 The inner-outer IRN solvers rebuild the weight/transform pair from the
 outer iterate and rerun a preconditioned Krylov method from x = 0; the
 flexible variants fold the reweighting into a single flexible Krylov
-loop, updating the preconditioner at every iteration.  The SVT baseline
-and the stopping/parameter-selection rules live here too.
+loop, updating the preconditioner at every iteration.  Both run the
+hybrid loop of ``krylov``.  The SVT baseline and the outer spectrum stop
+live here too.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krylov
-from .linops import unvec, vec
+from .krylov import optimal_lambda_search, secant_lambda_update
+from .linops import LinearOperator, unvec, vec
 from .lowrank import (
     apply_transform,
     build_reweighter,
@@ -30,11 +32,9 @@ __all__ = [
     "irn_nnrp",
     "flexible_nnrp",
     "svt",
-    "discrepancy_stop",
     "secant_lambda_update",
     "outer_stop_singular_values",
     "optimal_lambda_search",
-    "optimal_lambda_oracle",
     "reweighted_krylov_solve",
 ]
 
@@ -76,40 +76,6 @@ class NnrConfig:
         return None
 
 
-def discrepancy_stop(projected_residual, epsilon, theta):
-    """True iff the (projected) residual satisfies the discrepancy
-    principle, residual <= theta * epsilon."""
-    if epsilon < 0 or theta <= 1:
-        raise ValueError("need epsilon >= 0 and theta > 1")
-    return projected_residual <= theta * epsilon
-
-
-def secant_lambda_update(history, epsilon, theta, h_norm2=1.0, lam_max=1e10):
-    """Next regularization parameter from secant iteration on
-    d(lambda) = residual(lambda) - theta * epsilon.
-
-    ``history`` holds (lambda_j, residual_j) pairs, oldest first.
-    Bootstrap: lambda_0 = 0 by convention; if its residual misses the
-    band [epsilon, theta * epsilon], probe lambda_1 = 1e-4 * h_norm2.
-    """
-    if not history:
-        raise ValueError("need at least one (lambda, residual) pair")
-    target = theta * epsilon
-    lam_j, res_j = history[-1]
-    d_j = res_j - target
-    if epsilon <= res_j <= target:
-        return lam_j
-    if len(history) == 1:
-        probe = min(1e-4 * h_norm2, lam_max)
-        return probe if probe != lam_j else lam_j
-    lam_p, res_p = history[-2]
-    d_p = res_p - target
-    if d_j == d_p:
-        return lam_j
-    lam = lam_j - d_j * (lam_j - lam_p) / (d_j - d_p)
-    return float(min(max(lam, 0.0), lam_max))
-
-
 def outer_stop_singular_values(sigma_prev, sigma_curr, tau_sigma):
     """True iff two consecutive normalized spectra differ by < tau_sigma
     in the 2-norm (spectra padded with zeros to equal length)."""
@@ -121,161 +87,47 @@ def outer_stop_singular_values(sigma_prev, sigma_curr, tau_sigma):
     return float(np.linalg.norm(b - a)) < tau_sigma
 
 
-def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60):
-    """Minimize ||target - y(lambda)|| over a log grid refined by
-    golden-section search (test-harness oracle)."""
-    H = np.asarray(H, dtype=float)
+def _reweighted_operator(op, rw, inner, b):
+    """The operator of one reweighted inner solve, with its true adjoint,
+    and its start vector.
 
-    def err(lam):
-        y, _ = krylov.projected_tikhonov(H, beta, lam)
-        return float(np.linalg.norm(target - y))
-
-    if grid is None:
-        grid = np.logspace(-16, 2, 37)
-    vals = [err(g) for g in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if lo >= hi:
-        return float(grid[i])
-    # golden section on log(lambda)
-    a, b = np.log(lo), np.log(hi)
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = err(np.exp(c)), err(np.exp(d))
-    for _ in range(golden_iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = err(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = err(np.exp(d))
-    lam = float(np.exp((a + b) / 2.0))
-    if err(lam) > vals[i]:
-        lam = float(grid[i])
-    # the bottom of the grid stands for "no regularization needed"
-    return 0.0 if lam <= grid[1] else lam
-
-
-def optimal_lambda_oracle(Vm, H, beta, x_exact, reweighter=None):
-    """Error-minimizing lambda on the current projected basis.
-
-    For reweighted solves the exact solution is mapped into the
-    transformed domain, x_hat = W S x, before projection on V_m.
-    """
-    Vm = np.asarray(Vm, dtype=float)
-    x_hat = np.asarray(x_exact, dtype=float)
-    if reweighter is not None:
-        x_hat = apply_transform(reweighter, x_hat, "S", weight_power=1)
-    return optimal_lambda_search(H, beta, Vm.T @ x_hat)
-
-
-def _reweighted_operators(op, rw, inner):
-    """Wrap op with the current (W, S) pair.
-
-    gkb:     A_hat = A S^T W^{-1}          (right preconditioning)
-    arnoldi: A_hat = S A S^T W^{-1}        (orthogonal left + right)
-
-    Returns (matvec, rmatvec, start vector mapper, solution recovery).
+    gkb:     A_hat = A S^T W^{-1}          (right preconditioning), b
+    arnoldi: A_hat = S A S^T W^{-1}        (orthogonal left + right), S b
     """
     if inner == "gkb":
-        def matvec(xh):
-            return op.matvec(apply_transform(rw, xh, "S_transpose", -1))
-
-        def rmatvec(u):
-            return apply_transform(rw, op.rmatvec(u), "S", -1)
-
-        start = lambda b: b
+        left = left_adjoint = lambda v: v
     elif inner == "arnoldi":
-        if op.rows != op.cols:
-            raise ValueError("the Arnoldi inner solver needs a square operator")
-
-        def matvec(xh):
-            return apply_transform(
-                rw, op.matvec(apply_transform(rw, xh, "S_transpose", -1)), "S"
-            )
-
-        rmatvec = None
-        start = lambda b: apply_transform(rw, b, "S")
+        left = lambda v: apply_transform(rw, v, "S")
+        left_adjoint = lambda u: apply_transform(rw, u, "S_transpose")
     else:
         raise ValueError(f"unknown inner method {inner!r}")
-
-    recover = lambda xh: apply_transform(rw, xh, "S_transpose", -1)
-    return matvec, rmatvec, start, recover
-
-
-class _WrappedOp:
-    """Duck-typed operator facade over closure matvecs."""
-
-    def __init__(self, op, matvec, rmatvec, square):
-        self.rows = op.cols if square else op.rows
-        self.cols = op.cols
-        self.image_side = op.image_side
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-
-    def matvec(self, x):
-        return self._matvec(x)
-
-    def rmatvec(self, y):
-        return self._rmatvec(y)
+    return LinearOperator(
+        op.rows, op.cols, op.image_side,
+        lambda x: left(op.matvec(apply_transform(rw, x, "S_transpose", -1))),
+        lambda u: apply_transform(rw, op.rmatvec(left_adjoint(u)), "S", -1),
+        kind=f"reweighted-{inner}"), left(b)
 
 
-def reweighted_krylov_solve(op, b, reweighter, lambda_hat, n_steps,
+def reweighted_krylov_solve(op, b, reweighter, lambda_rule, n_steps,
                             inner="gkb", stop=None, report=None, outer=0,
-                            iteration_offset=0, x_exact=None,
-                            lambda_rule=None):
+                            iteration_offset=0, x_exact=None):
     """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair.
 
-    Returns (x, projected residual at the last step, stop reason).  Used
-    as the inner cycle of the IRN solvers and directly by the fixed-point
-    tests.
+    ``lambda_rule`` is a fixed lambda, a rule kind or a rule.  Returns
+    (x, projected residual at the last step, stop reason).  Used as the
+    inner cycle of the IRN solvers and directly by the fixed-point tests.
     """
-    matvec, rmatvec, start, recover = _reweighted_operators(op, reweighter,
-                                                            inner)
-    wop = _WrappedOp(op, matvec, rmatvec, square=(inner == "arnoldi"))
-    b0 = start(np.asarray(b, dtype=float))
-    rule = krylov._make_rule(
-        lambda_rule if lambda_rule is not None else lambda_hat, stop, x_exact)
-    if inner == "arnoldi":
-        state = krylov.arnoldi_start(wop, b0)
-        step = lambda: krylov.arnoldi_step(state, wop)
-        proj = lambda: state.H_mat()
-    else:
-        state = krylov.gkb_start(wop, b0)
-        step = lambda: krylov.gkb_step(state, wop)
-        proj = lambda: state.M_mat()
-    x = np.zeros(op.cols)
-    resid = np.linalg.norm(b)
-    reason = "max_iter"
-    for m in range(1, n_steps + 1):
-        step()
-        if state.k < m:
-            reason = "breakdown"
-            break
-        target = None
-        if rule.kind == "optimal" and x_exact is not None:
-            Vm = state.V_mat() if inner == "gkb" else state.V_mat()[:, : state.k]
-            x_hat = apply_transform(reweighter, x_exact, "S", 1)
-            target = Vm.T @ x_hat
-        y, resid, lam = rule.solve(proj(), state.beta, target)
-        if inner == "arnoldi":
-            xh = state.V_mat()[:, : state.k] @ y
-        else:
-            xh = state.V_mat() @ y
-        x = recover(xh)
-        if report is not None:
-            report.record(iteration_offset + m, outer, x, resid, lam, x_exact)
-        if stop is not None and stop.satisfied(resid):
-            reason = "discrepancy"
-            break
-        if state.breakdown:
-            reason = "breakdown"
-            break
-    return x, resid, reason
+    wop, b0 = _reweighted_operator(op, reweighter, inner, b)
+    rule = krylov._make_rule(lambda_rule, stop)
+    x_target = None
+    if rule.kind == "optimal" and x_exact is not None:
+        x_target = apply_transform(reweighter, x_exact, "S", 1)
+    return krylov.hybrid(
+        wop, b0, n_steps, rule, report, inner == "gkb", stop=stop,
+        solution=lambda xh: apply_transform(reweighter, xh, "S_transpose",
+                                            -1),
+        x_target=x_target, x_exact=x_exact, outer=outer,
+        offset=iteration_offset)
 
 
 def irn_nnrp(op, b, config, inner="gkb", x_exact=None):
@@ -296,12 +148,11 @@ def irn_nnrp(op, b, config, inner="gkb", x_exact=None):
     prev_spectrum = None
     it = 0
     for k in range(config.max_outer):
-        rule = krylov._LambdaRule(
-            config.lambda_rule, config.lambda_value, stop, x_exact)
+        rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value,
+                                  stop)
         x, _, reason = reweighted_krylov_solve(
-            op, b, rw, config.lambda_value, config.max_inner, inner=inner,
-            stop=stop, report=report, outer=k, iteration_offset=it,
-            x_exact=x_exact, lambda_rule=rule,
+            op, b, rw, rule, config.max_inner, inner=inner, stop=stop,
+            report=report, outer=k, iteration_offset=it, x_exact=x_exact,
         )
         it = report.iterations[-1] if report.iterations else it
         X = unvec(x, n)
@@ -331,59 +182,35 @@ def flexible_nnrp(op, b, config, inner="fgk", variant="iterate",
     """
     if variant not in ("iterate", "basis-v"):
         raise ValueError(f"unknown variant {variant!r}")
-    b = np.asarray(b, dtype=float)
+    if inner not in ("fgk", "farnoldi"):
+        raise ValueError(f"unknown inner method {inner!r}")
     n = op.image_side
     gamma = config.gamma0
-    rw_box = {"rw": identity_reweighter(n, config.p, gamma)}
+    rw = identity_reweighter(n, config.p, gamma)
     power = -2 if inner == "fgk" else -1
     stop = config.stop()
-    rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value, stop,
-                              x_exact)
 
     def precond(v):
+        nonlocal rw
         if config.identity_preconditioner:
             return np.array(v, copy=True)
         if variant == "basis-v" and np.any(v):
-            rw_box["rw"] = build_reweighter_from_basis(v, config.p, gamma)
-        return precondition(rw_box["rw"], v, power)
+            rw = build_reweighter_from_basis(v, config.p, gamma)
+        return precondition(rw, v, power)
 
-    if inner == "fgk":
-        state = krylov.gkb_start(op, b)
-        step = lambda: krylov.gkb_step(state, op, precondition=precond)
-        proj = lambda: state.M_mat()
-        name = "flsqr-nnrp"
-    elif inner == "farnoldi":
-        if op.rows != op.cols:
-            raise ValueError("the flexible Arnoldi solver needs a square operator")
-        state = krylov.arnoldi_start(op, b)
-        step = lambda: krylov.arnoldi_step(state, op, precondition=precond)
-        proj = lambda: state.H_mat()
-        name = "fgmres-nnrp"
-    else:
-        raise ValueError(f"unknown inner method {inner!r}")
-    if variant == "basis-v":
-        name += "-v"
-    report = SolveReport(solver=name)
-    for it in range(1, config.max_iter + 1):
-        step()
-        if state.k < it:
-            report.stop_reason = "breakdown"
-            break
-        y, resid, lam = rule.solve(proj(), state.beta)
-        x = state.Z_mat() @ y
-        report.record(it, 0, x, resid, lam, x_exact)
-        if stop is not None and stop.satisfied(resid):
-            report.stop_reason = "discrepancy"
-            break
-        if state.breakdown:
-            report.stop_reason = "breakdown"
-            break
+    def after(x):
+        nonlocal gamma, rw
         gamma = max(gamma / config.gamma_decay, config.gamma_min)
         if variant == "iterate" and not config.identity_preconditioner:
-            rw_box["rw"] = build_reweighter(unvec(x, n), config.p, gamma)
-    if report.final_x is not None:
-        report.add_spectrum(0, svd(unvec(report.best_x, n)).sigma)
-    return report
+            rw = build_reweighter(unvec(x, n), config.p, gamma)
+
+    name = "flsqr-nnrp" if inner == "fgk" else "fgmres-nnrp"
+    if variant == "basis-v":
+        name += "-v"
+    rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value, stop)
+    return krylov.run_hybrid(name, op, b, config.max_iter, stop, rule,
+                             x_exact, gkb=inner == "fgk",
+                             precondition=precond, after=after)
 
 
 def svt(op, b, tau, delta, max_iter, stop=None, x_exact=None):
@@ -407,6 +234,5 @@ def svt(op, b, tau, delta, max_iter, stop=None, x_exact=None):
         if stop is not None and stop.satisfied(resid):
             report.stop_reason = "discrepancy"
             break
-    if report.final_x is not None:
-        report.add_spectrum(0, svd(unvec(report.best_x, n)).sigma)
+    report.add_best_spectrum(n)
     return report

@@ -52,6 +52,9 @@ class TestProblem:
 
 
 def _add_noise(op, x_exact, noise_level, rng, seed):
+    if not 0 <= noise_level < np.inf:
+        raise ValueError(f"noise_level must be finite and nonnegative, "
+                         f"got {noise_level!r}")
     b_exact = op.matvec(x_exact)
     if noise_level > 0:
         eta = rng.standard_normal(b_exact.size)

@@ -4,6 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linops import unvec
+from .lowrank import svd
+
 __all__ = ["SolveReport", "Discrepancy"]
 
 
@@ -29,9 +32,11 @@ class Discrepancy:
 class SolveReport:
     """Iteration history of one solver run.
 
-    Residuals are the projected values (which coincide with the true
-    residual norms for every method in this package); relative errors are
-    NaN when no exact solution was supplied.
+    Residuals are the true norms for RS-LR-GMRES and SVT and the
+    projected norms for the Arnoldi/GKB solvers.  The two coincide except
+    for LR-FGMRES and LR-FLSQR, which record the projected residual of the
+    untruncated Z_k y but return its rank-kappa truncation.  Relative
+    errors are NaN when no exact solution was supplied.
     """
 
     solver: str = ""
@@ -65,6 +70,12 @@ class SolveReport:
         sigma = np.asarray(sigma, dtype=float)
         top = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
         self.spectra.append((outer, sigma / top))
+
+    def add_best_spectrum(self, n):
+        """End of a single-loop run: the spectrum of the n x n best iterate
+        (nothing when no iterate was recorded)."""
+        if self.final_x is not None:
+            self.add_spectrum(0, svd(unvec(self.best_x, n)).sigma)
 
     @property
     def best(self):

@@ -98,6 +98,44 @@ class TestValidation:
                              "solvers": [{"name": "lr-flsqr",
                                           "kappa": "two", "kappa_B": 2}]})
 
+    @pytest.mark.parametrize("name", [
+        "lr-fgmres", "lr-flsqr", "fgmres-nnrp", "flsqr-nnrp",
+        "fgmres-nnrp-v", "flsqr-nnrp-v"])
+    def test_optimal_rule_rejected_for_flexible_solvers(self, name):
+        # these solvers never project the exact solution, so "optimal"
+        # would run them with lambda = 0 throughout
+        spec = {"name": name, "kappa": 2, "kappa_B": 2}
+        validate_config({"problem": {"type": "star", "n": 16},
+                         "solvers": [dict(spec, lambda_rule="secant")]})
+        with pytest.raises(ConfigError, match="lambda_rule"):
+            validate_config({"problem": {"type": "star", "n": 16},
+                             "solvers": [dict(spec, lambda_rule="optimal")]})
+
+    @pytest.mark.parametrize("name", ["rs-lr-gmres", "svt"])
+    @pytest.mark.parametrize("rule", ["fixed", "secant", "optimal"])
+    def test_lambda_rule_rejected_for_solvers_without_lambda(self, name,
+                                                             rule):
+        spec = {"name": name, "truncation_rank": 2}
+        validate_config({"problem": {"type": "star", "n": 16},
+                         "solvers": [dict(spec, lambda_rule="zero")]})
+        with pytest.raises(ConfigError, match="lambda_rule"):
+            validate_config({"problem": {"type": "star", "n": 16},
+                             "solvers": [dict(spec, lambda_rule=rule)]})
+
+    @pytest.mark.parametrize("name", [
+        "gmres", "lsqr", "irn-gmres-nnrp", "irn-lsqr-nnrp"])
+    def test_optimal_rule_accepted(self, name):
+        validate_config({"problem": {"type": "star", "n": 16},
+                         "solvers": [{"name": name,
+                                      "lambda_rule": "optimal"}]})
+
+    @pytest.mark.parametrize("rule", ["Optimal", "", None, ["zero"]])
+    def test_unknown_lambda_rule(self, rule):
+        with pytest.raises(ConfigError, match="lambda_rule"):
+            validate_config({"problem": {"type": "star", "n": 16},
+                             "solvers": [{"name": "lsqr",
+                                          "lambda_rule": rule}]})
+
     def test_problem_must_be_an_object(self):
         with pytest.raises(ConfigError, match="object"):
             validate_config({"problem": [], "solvers": [{"name": "lsqr"}]})
@@ -145,6 +183,30 @@ class TestExitCodes:
                            "max_iter": 3}]
         path = write_config(tmp_path / "c.json", cfg)
         assert cli.run(path, out_dir=str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -1e-3])
+    def test_bad_noise_level_is_exit_1(self, tmp_path, level):
+        # json writes and reads these as NaN / Infinity / -0.001
+        cfg = base_config(problem={"type": "star", "n": 16, "seed": 0,
+                                   "noise_level": level})
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+
+    def test_non_finite_data_is_exit_1(self, tmp_path, monkeypatch):
+        build = cli.build_problem
+
+        def corrupt(spec, seed_override=None):
+            problem = build(spec, seed_override)
+            problem.b[3] = np.inf
+            return problem
+
+        monkeypatch.setattr(cli, "build_problem", corrupt)
+        path = write_config(tmp_path / "c.json", base_config())
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
 
     def test_validate_only(self, tmp_path, capsys):
         cfg = base_config()

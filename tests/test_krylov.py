@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrkrylov import krylov
+from lrkrylov import krylov, nnr
 from lrkrylov.krylov import (
     arnoldi_start,
     arnoldi_step,
@@ -17,7 +17,7 @@ from lrkrylov.krylov import (
 from lrkrylov.linops import from_dense, identity_operator
 from lrkrylov.lowrank import truncate
 from lrkrylov.problems import star_problem
-from lrkrylov.report import Discrepancy
+from lrkrylov.report import Discrepancy, SolveReport
 
 
 def random_square_op(n_side, seed, shift=0.0):
@@ -225,3 +225,49 @@ class TestTruncatedSolvers:
         from lrkrylov.lowrank import svd
         s = svd(unvec(rep.final_x, 16)).sigma
         assert s[3] <= 1e-10 * max(s[0], 1e-300)
+
+
+# a rank-2 image; the basis-v preconditioner keeps the singular vectors of
+# b, so even its flexible basis spans two directions, and every other
+# basis spans one
+_IDENTITY_B = np.arange(1.0, 17.0)
+
+
+def _identity_runs():
+    op, b = identity_operator(4), _IDENTITY_B
+    cfg = nnr.NnrConfig(max_iter=5, max_outer=1, max_inner=5)
+    runs = {
+        "gmres": lambda: gmres(op, b, 5),
+        "lsqr": lambda: lsqr(op, b, 5),
+        "lr-fgmres": lambda: lr_fgmres(op, b, 4, 4, 5),
+        "lr-flsqr": lambda: lr_flsqr(op, b, 4, 4, 5),
+        "irn-gmres-nnrp": lambda: nnr.irn_nnrp(op, b, cfg, inner="arnoldi"),
+        "irn-lsqr-nnrp": lambda: nnr.irn_nnrp(op, b, cfg, inner="gkb"),
+    }
+    for inner, family in (("farnoldi", "fgmres"), ("fgk", "flsqr")):
+        for variant, suffix in (("iterate", ""), ("basis-v", "-v")):
+            runs[f"{family}-nnrp{suffix}"] = (
+                lambda inner=inner, variant=variant: nnr.flexible_nnrp(
+                    op, b, cfg, inner=inner, variant=variant))
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(_identity_runs()))
+def test_hybrid_solvers_break_down_on_identity(name):
+    rep = _identity_runs()[name]()
+    assert rep.stop_reason == "breakdown"
+    assert len(rep.iterations) <= 2
+    b = _IDENTITY_B
+    assert np.linalg.norm(rep.final_x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_best_spectrum_of_single_loop_report():
+    rep = SolveReport()
+    rep.add_best_spectrum(4)
+    assert rep.spectra == []
+    X = np.diag([4.0, 2.0, 1.0, 0.0])
+    rep.record(1, 0, X.ravel(), 1.0, 0.0)
+    rep.add_best_spectrum(4)
+    (outer, sigma), = rep.spectra
+    assert outer == 0
+    assert np.allclose(sigma, [1.0, 0.5, 0.25, 0.0])

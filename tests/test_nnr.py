@@ -11,7 +11,6 @@ from lrkrylov.lowrank import (
 )
 from lrkrylov.nnr import (
     NnrConfig,
-    discrepancy_stop,
     flexible_nnrp,
     irn_nnrp,
     optimal_lambda_search,
@@ -21,20 +20,20 @@ from lrkrylov.nnr import (
     svt,
 )
 from lrkrylov.problems import star_problem
-from lrkrylov.report import Discrepancy
+from lrkrylov.report import Discrepancy, SolveReport
 
 
 class TestStoppingRules:
     def test_discrepancy_examples(self):
-        assert discrepancy_stop(0.9, 1.0, 1.01)
-        assert not discrepancy_stop(1.02, 1.0, 1.01)
-        assert discrepancy_stop(1.01, 1.0, 1.01)
+        assert Discrepancy(1.0, 1.01).satisfied(0.9)
+        assert not Discrepancy(1.0, 1.01).satisfied(1.02)
+        assert Discrepancy(1.0, 1.01).satisfied(1.01)
 
     def test_discrepancy_invalid_args(self):
         with pytest.raises(ValueError):
-            discrepancy_stop(1.0, -1.0, 1.01)
+            Discrepancy(-1.0, 1.01)
         with pytest.raises(ValueError):
-            discrepancy_stop(1.0, 1.0, 1.0)
+            Discrepancy(1.0, 1.0)
 
     def test_outer_stop_identical_spectra(self):
         s = np.array([1.0, 0.4, 0.01])
@@ -137,6 +136,40 @@ class TestReweightedSolve:
         want = np.linalg.solve(A.T @ A + lam * np.eye(n * n), A.T @ b)
         x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n, inner=inner)
         assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
+    def test_reweighted_operator_has_true_adjoint(self, inner):
+        rng = np.random.default_rng(2)
+        n = 5
+        op = from_dense(rng.standard_normal((n * n, n * n)), n)
+        rw = build_reweighter(rng.standard_normal((n, n)), 1.0, 1e-2)
+        b = rng.standard_normal(n * n)
+        wop, b0 = nnr._reweighted_operator(op, rw, inner, b)
+        A_hat = wop.to_dense()
+        adj = np.column_stack([wop.rmatvec(e) for e in np.eye(n * n)])
+        assert np.linalg.norm(adj - A_hat.T) <= 1e-10 * np.linalg.norm(A_hat)
+        S = np.kron(rw.V.T, rw.U.T)
+        left = S if inner == "arnoldi" else np.eye(n * n)
+        W_inv = np.diag(np.tile(rw.inv_weights, n))
+        want = left @ op.to_dense() @ S.T @ W_inv
+        assert np.linalg.norm(A_hat - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.allclose(b0, left @ b, atol=1e-12)
+
+    @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
+    @pytest.mark.parametrize("given,kind,value", [
+        ("optimal", "optimal", 0.0), (0.1, "fixed", 0.1)])
+    def test_lambda_rule_is_a_value_a_kind_or_a_rule(self, inner, given,
+                                                     kind, value):
+        prob = star_problem(16, noise_level=1e-1, seed=2)
+        rw = build_reweighter(unvec(prob.x_exact + 0.01, 16), 1.0, 1e-2)
+        reps = [SolveReport(), SolveReport()]
+        xs = [reweighted_krylov_solve(prob.op, prob.b, rw, rule, 8,
+                                      inner=inner, report=rep,
+                                      x_exact=prob.x_exact)[0]
+              for rule, rep in zip(
+                  (given, krylov._LambdaRule(kind, value)), reps)]
+        assert np.array_equal(xs[0], xs[1])
+        assert reps[0].lambdas == reps[1].lambdas
 
     def test_projected_residual_is_true_residual(self):
         prob = star_problem(16, noise_level=1e-3, seed=2)

@@ -63,6 +63,19 @@ class TestStar:
         assert abs(float(eta[:-1] @ eta[1:])) <= 0.05
 
 
+@pytest.mark.parametrize("make", [
+    lambda level: star_problem(16, noise_level=level),
+    lambda level: phantom_problem(16, noise_level=level, n_angles=4),
+    lambda level: inpainting_problem(n=16, rank_cap=8, noise_level=level),
+], ids=["star", "phantom", "inpainting"])
+@pytest.mark.parametrize("level", [np.nan, np.inf, -1e-3])
+def test_bad_noise_level_rejected(make, level):
+    # NaN and negative levels used to give silently noiseless data, and an
+    # infinite one non-finite data
+    with pytest.raises(ValueError, match="noise_level"):
+        make(level)
+
+
 class TestPhantom:
     def test_exact_rank_four(self):
         prob = phantom_problem(64, seed=0)
