@@ -51,6 +51,10 @@ LAMBDA_RULES = {
     "fgmres-nnrp-v": _NO_OPTIMAL, "flsqr-nnrp-v": _NO_OPTIMAL,
     "rs-lr-gmres": frozenset({"zero"}), "svt": frozenset({"zero"}),
 }
+# solvers whose discrepancy stop comes only from "use_discrepancy"; the
+# secant rule moves lambda only when there is a stop, so without one it
+# would silently run them with lambda = 0
+DISCREPANCY_BY_FLAG = frozenset({"gmres", "lsqr", "lr-fgmres", "lr-flsqr"})
 
 
 class ConfigError(Exception):
@@ -169,6 +173,10 @@ def _validate_solver(spec, problem):
     if not isinstance(rule, str) or rule not in LAMBDA_RULES[name]:
         raise ConfigError(f"solver {name}: lambda_rule must be one of "
                           f"{sorted(LAMBDA_RULES[name])}, got {rule!r}")
+    if (rule == "secant" and name in DISCREPANCY_BY_FLAG
+            and not spec.get("use_discrepancy", False)):
+        raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
+                          "discrepancy stop, \"use_discrepancy\": true")
     n = problem.get("n")
     if n is None and kind == "inpainting":
         n = inspect.signature(

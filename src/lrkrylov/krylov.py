@@ -3,11 +3,15 @@ Tikhonov solves with their regularization-parameter rules, the hybrid
 projection loop every Arnoldi/GKB solver runs, and the solvers of this
 module: GMRES, LSQR, RS-LR-GMRES, LR-FGMRES, LR-FLSQR.
 
-All bases are kept orthonormal with one full re-orthogonalization pass;
-bases are stored dense (desk scale, N <= 65536, <= 200 steps).
+Each new basis vector is orthogonalized by block classical Gram-Schmidt
+applied twice (CGS2), four matrix-vector products against the whole basis.
+Bases are dense column-major (Fortran-order) arrays that start 16 columns
+wide and double their width when full, so a step appends a column in
+place and ``V_mat()`` and friends are views, not copies (desk scale,
+N <= 65536, <= 200 steps).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,145 +37,185 @@ __all__ = [
 ]
 
 _BREAKDOWN_REL = 1e-12
+_WIDTH = 16  # starting number of columns of every basis
 
 
-def _orthogonalize(w, basis):
-    """Modified Gram-Schmidt with one full re-orthogonalization pass."""
-    coeffs = np.zeros(len(basis))
-    for _ in range(2):
-        for j, q in enumerate(basis):
-            c = float(q @ w)
-            coeffs[j] += c
-            w = w - c * q
-    return w, coeffs
+def _orthogonalize(w, Q):
+    """Block classical Gram-Schmidt applied twice (CGS2) against the
+    orthonormal columns of ``Q``; returns (w, coefficients)."""
+    h = Q.T @ w
+    w = w - Q @ h
+    h2 = Q.T @ w
+    w = w - Q @ h2
+    return w, h + h2
 
 
-def _stack(cols, height):
-    M = np.zeros((height, len(cols)))
-    for i, col in enumerate(cols):
-        M[: len(col), i] = col
-    return M
+def _zeros(rows):
+    return np.zeros((rows, _WIDTH), order="F")
+
+
+def _room(a, cols, rows=0):
+    """``a`` if it has ``cols`` columns and ``rows`` rows, else a copy of it
+    in a zero Fortran array with each short dimension doubled."""
+    r, c = a.shape
+    if cols <= c and rows <= r:
+        return a
+    grown = np.zeros((2 * r if rows > r else r, 2 * c if cols > c else c),
+                     order="F")
+    grown[:r, :c] = a
+    return grown
+
+
+def _first_column(b):
+    """(beta, basis array holding b / beta as its first column)."""
+    b = np.asarray(b, dtype=float)
+    beta = np.linalg.norm(b)
+    if beta == 0:
+        raise ValueError("start vector is zero")
+    Q = _zeros(b.size)
+    Q[:, 0] = b / beta
+    return beta, Q
+
+
+def _store_z(state, k, z, flexible):
+    """Keep z as column k of Z.  Until its first preconditioned step a state
+    has no Z array of its own, since there Z_k = V_k."""
+    if flexible and state.Z is None:
+        state.Z = state.V.copy(order="F")
+    if state.Z is not None:
+        state.Z = _room(state.Z, k + 1)
+        state.Z[:, k] = z
 
 
 @dataclass
 class ArnoldiState:
-    """Partial (flexible) Arnoldi factorization  A Z_k = V_{k+1} H_k."""
+    """Partial (flexible) Arnoldi factorization  A Z_k = V_{k+1} H_k.
+
+    The bases are the leading columns of Fortran arrays that double their
+    width when full, and the ``*_mat()`` methods return views into them.
+    A standard run keeps no Z: there Z_k = V_k.  After a breakdown V has
+    k columns.
+    """
 
     beta: float
-    V: list = field(default_factory=list)
-    Z: list = field(default_factory=list)
-    Hcols: list = field(default_factory=list)
+    V: np.ndarray
+    H: np.ndarray
+    Z: np.ndarray = None
+    k: int = 0
     breakdown: bool = False
 
-    @property
-    def k(self):
-        return len(self.Z)
-
     def V_mat(self):
-        return np.column_stack(self.V)
+        return self.V[:, : self.k + 1 - self.breakdown]
 
     def Z_mat(self):
-        return np.column_stack(self.Z)
+        return (self.V if self.Z is None else self.Z)[:, : self.k]
 
     def H_mat(self):
-        return _stack(self.Hcols, self.k + 1)
+        return self.H[: self.k + 1, : self.k]
 
 
 def arnoldi_start(op, b):
     if op.rows != op.cols:
         raise ValueError("Arnoldi requires a square operator")
-    b = np.asarray(b, dtype=float)
-    beta = np.linalg.norm(b)
-    if beta == 0:
-        raise ValueError("start vector is zero")
-    return ArnoldiState(beta=beta, V=[b / beta])
+    beta, V = _first_column(b)
+    return ArnoldiState(beta, V, _zeros(_WIDTH))
 
 
 def arnoldi_step(state, op, precondition=None):
     """Expand the factorization by one column; reports (not raises) breakdown."""
     if state.breakdown:
         return state
-    v = state.V[state.k]
+    k = state.k
+    state.V = _room(state.V, k + 2)
+    state.H = _room(state.H, k + 1, k + 2)
+    v = state.V[:, k]
     z = precondition(v) if precondition is not None else v
     w = op.matvec(z)
-    w, h = _orthogonalize(w, state.V)
+    w, h = _orthogonalize(w, state.V[:, : k + 1])
     hnorm = np.linalg.norm(w)
-    col = np.append(h, hnorm)
-    state.Z.append(z)
-    state.Hcols.append(col)
-    scale = max(np.abs(col).max(), 1.0)
-    if hnorm <= _BREAKDOWN_REL * scale:
+    _store_z(state, k, z, precondition is not None)
+    state.H[: k + 1, k] = h
+    state.H[k + 1, k] = hnorm
+    state.k = k + 1
+    if hnorm <= _BREAKDOWN_REL * max(np.abs(h).max(), 1.0):
         state.breakdown = True
     else:
-        state.V.append(w / hnorm)
+        state.V[:, k + 1] = w / hnorm
     return state
 
 
 @dataclass
 class GkbState:
     """Partial (flexible) Golub-Kahan factorization:
-    A Z_k = U_{k+1} M_k  and  A^T U_k = V_k T_k."""
+    A Z_k = U_{k+1} M_k  and  A^T U_k = V_k T_k.
+
+    Storage as in ``ArnoldiState``; ``u`` counts the columns of U, which
+    are k + 1, or k after a breakdown in the second half of a step.
+    """
 
     beta: float
-    U: list = field(default_factory=list)
-    V: list = field(default_factory=list)
-    Z: list = field(default_factory=list)
-    Mcols: list = field(default_factory=list)
-    Tcols: list = field(default_factory=list)
+    U: np.ndarray
+    V: np.ndarray
+    M: np.ndarray
+    T: np.ndarray
+    Z: np.ndarray = None
+    k: int = 0
+    u: int = 1
     breakdown: bool = False
 
-    @property
-    def k(self):
-        return len(self.Z)
-
     def U_mat(self):
-        return np.column_stack(self.U)
+        return self.U[:, : self.u]
 
     def V_mat(self):
-        return np.column_stack(self.V)
+        return self.V[:, : self.k]
 
     def Z_mat(self):
-        return np.column_stack(self.Z)
+        return (self.V if self.Z is None else self.Z)[:, : self.k]
 
     def M_mat(self):
-        return _stack(self.Mcols, self.k + 1)
+        return self.M[: self.k + 1, : self.k]
 
     def T_mat(self):
-        return _stack(self.Tcols, self.k)
+        return self.T[: self.k, : self.k]
 
 
 def gkb_start(op, b):
-    b = np.asarray(b, dtype=float)
-    beta = np.linalg.norm(b)
-    if beta == 0:
-        raise ValueError("start vector is zero")
-    return GkbState(beta=beta, U=[b / beta])
+    beta, U = _first_column(b)
+    return GkbState(beta, U, _zeros(op.cols), _zeros(_WIDTH), _zeros(_WIDTH))
 
 
 def gkb_step(state, op, precondition=None):
     """One (flexible) Golub-Kahan step: new v_i, z_i, u_{i+1}."""
     if state.breakdown:
         return state
-    u = state.U[state.k]
-    w = op.rmatvec(u)
-    w, t = _orthogonalize(w, state.V)
+    k = state.k
+    state.U = _room(state.U, k + 2)
+    state.V = _room(state.V, k + 1)
+    state.M = _room(state.M, k + 1, k + 2)
+    state.T = _room(state.T, k + 1, k + 1)
+    w = op.rmatvec(state.U[:, k])
+    w, t = _orthogonalize(w, state.V[:, :k])
     tnorm = np.linalg.norm(w)
-    if tnorm <= _BREAKDOWN_REL * max(np.abs(t).max() if t.size else 0.0, 1.0):
+    if tnorm <= _BREAKDOWN_REL * max(np.abs(t).max() if k else 0.0, 1.0):
         state.breakdown = True
         return state
-    v = w / tnorm
-    state.V.append(v)
-    state.Tcols.append(np.append(t, tnorm))
+    state.V[:, k] = w / tnorm
+    v = state.V[:, k]
+    state.T[:k, k] = t
+    state.T[k, k] = tnorm
     z = precondition(v) if precondition is not None else v
     w = op.matvec(z)
-    w, m = _orthogonalize(w, state.U)
+    w, m = _orthogonalize(w, state.U[:, : k + 1])
     mnorm = np.linalg.norm(w)
-    state.Z.append(z)
-    state.Mcols.append(np.append(m, mnorm))
+    _store_z(state, k, z, precondition is not None)
+    state.M[: k + 1, k] = m
+    state.M[k + 1, k] = mnorm
+    state.k = k + 1
     if mnorm <= _BREAKDOWN_REL * max(np.abs(m).max(), 1.0):
         state.breakdown = True
     else:
-        state.U.append(w / mnorm)
+        state.U[:, k + 1] = w / mnorm
+        state.u = k + 2
     return state
 
 

@@ -233,7 +233,12 @@ def tomography_operator(n, angles, detector_count):
     rows, cols, vals = trace_rays(n, angles, offsets)
     M = angles.size * detector_count
     N = n * n
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(M, N))
+    # the rays come row by row, so the row counts are the CSR row pointer;
+    # sum_duplicates sorts each row's columns (a ray visits them in t
+    # order, not by index) and would merge repeats, as a COO build does
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=M))))
+    A = sp.csr_matrix((vals, cols, indptr), shape=(M, N))
+    A.sum_duplicates()
     del rows, cols, vals  # free the triplets before the transpose is built
     At = A.T.tocsr()
     return LinearOperator(

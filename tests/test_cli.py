@@ -106,10 +106,24 @@ class TestValidation:
         # would run them with lambda = 0 throughout
         spec = {"name": name, "kappa": 2, "kappa_B": 2}
         validate_config({"problem": {"type": "star", "n": 16},
-                         "solvers": [dict(spec, lambda_rule="secant")]})
+                         "solvers": [dict(spec, lambda_rule="secant",
+                                          use_discrepancy=True)]})
         with pytest.raises(ConfigError, match="lambda_rule"):
             validate_config({"problem": {"type": "star", "n": 16},
                              "solvers": [dict(spec, lambda_rule="optimal")]})
+
+    @pytest.mark.parametrize("name", sorted(cli.DISCREPANCY_BY_FLAG))
+    def test_secant_rule_needs_discrepancy_stop(self, name):
+        # without a stop the secant rule never moves lambda off 0
+        spec = {"name": name, "kappa": 2, "kappa_B": 2,
+                "lambda_rule": "secant"}
+        problem = {"type": "star", "n": 16}
+        for flag in ({}, {"use_discrepancy": False}):
+            with pytest.raises(ConfigError, match="use_discrepancy"):
+                validate_config({"problem": problem,
+                                 "solvers": [dict(spec, **flag)]})
+        validate_config({"problem": problem,
+                         "solvers": [dict(spec, use_discrepancy=True)]})
 
     @pytest.mark.parametrize("name", ["rs-lr-gmres", "svt"])
     @pytest.mark.parametrize("rule", ["fixed", "secant", "optimal"])
@@ -172,6 +186,15 @@ class TestExitCodes:
                                    "n_angles": 4})
         cfg["solvers"] = [{"name": "lsqr", "max_iter": 3},
                           {"name": "gmres", "max_iter": 3}]
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+
+    def test_secant_without_discrepancy_is_exit_1(self, tmp_path):
+        cfg = base_config()
+        cfg["solvers"] = [{"name": "lsqr", "max_iter": 3,
+                           "lambda_rule": "secant"}]
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
         assert cli.run(path, out_dir=str(out)) == 1

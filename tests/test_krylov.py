@@ -124,6 +124,43 @@ class TestGolubKahan:
         assert np.abs(M - band).max() <= 1e-10
 
 
+PROCESSES = {"arnoldi": (arnoldi_start, arnoldi_step, ("V", "Z", "H")),
+             "gkb": (gkb_start, gkb_step, ("U", "V", "Z", "M", "T"))}
+
+
+class TestStorage:
+    @pytest.mark.parametrize("process", sorted(PROCESSES))
+    def test_only_a_flexible_run_keeps_its_own_z(self, process):
+        start, step, _ = PROCESSES[process]
+        op, _ = random_square_op(4, 20)
+        b = np.random.default_rng(21).standard_normal(16)
+        for precondition, shared in ((None, True),
+                                     (lambda v: truncate(v, 2), False)):
+            state = start(op, b)
+            for _ in range(3):
+                step(state, op, precondition)
+            assert np.shares_memory(state.Z_mat(), state.V_mat()) == shared
+
+    @pytest.mark.parametrize("process", sorted(PROCESSES))
+    def test_columns_survive_growth(self, process):
+        start, step, names = PROCESSES[process]
+        op, _ = random_square_op(6, 22)
+        b = np.random.default_rng(23).standard_normal(36)
+        precondition = lambda v: truncate(v, 3)
+        state = start(op, b)
+        for _ in range(14):
+            step(state, op, precondition)
+        before = {n: getattr(state, f"{n}_mat")().copy() for n in names}
+        assert {getattr(state, n).shape[1] for n in names} == {16}
+        for _ in range(6):
+            step(state, op, precondition)
+        assert {getattr(state, n).shape[1] for n in names} == {32}
+        for n, old in before.items():
+            new = getattr(state, f"{n}_mat")()
+            assert new.shape[1] > old.shape[1]
+            assert np.array_equal(new[: old.shape[0], : old.shape[1]], old)
+
+
 class TestProjectedTikhonov:
     def test_scalar_unregularized(self):
         y, resid = projected_tikhonov(np.array([[1.0], [0.0]]), 2.0, 0.0)
