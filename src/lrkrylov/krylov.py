@@ -25,6 +25,7 @@ __all__ = [
     "arnoldi_step",
     "gkb_start",
     "gkb_step",
+    "projected_svd",
     "projected_tikhonov",
     "secant_lambda_update",
     "optimal_lambda_search",
@@ -219,24 +220,39 @@ def gkb_step(state, op, precondition=None):
     return state
 
 
-def projected_tikhonov(Hk, beta, lambda_hat):
-    """Solve min ||H y - beta e1||^2 + lambda ||y||^2.
+def projected_svd(H, beta):
+    """Thin SVD H = P diag(s) Q^T of a projected matrix, with c = beta P^T e1
+    and lstsq's rank cutoff s_1 max(H.shape) eps: (s, Q, c, cutoff)."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    P, s, Qt = np.linalg.svd(H, full_matrices=False)
+    cutoff = s[0] * max(H.shape) * np.finfo(float).eps if s.size else 0.0
+    return s, Qt.T, beta * P[0], cutoff
 
+
+def _filtered(svd, lambda_hat):
+    """Q^T y(lambda) = s / (s^2 + lambda) * c; at lambda = 0 singular values
+    at or below the cutoff count as zero (the minimum-norm solution)."""
+    s, _, c, cutoff = svd
+    if lambda_hat > 0:
+        return s / (s * s + lambda_hat) * c
+    keep = s > cutoff
+    return np.where(keep, c, 0.0) / np.where(keep, s, 1.0)
+
+
+def projected_tikhonov(Hk, beta, lambda_hat, svd=None):
+    """Solve min ||H y - beta e1||^2 + lambda ||y||^2 by SVD filtering.
+
+    ``svd`` is H's ``projected_svd`` when the caller already has it.
     Returns (y, projected residual norm ||H y - beta e1||).  lambda = 0
     with rank-deficient H falls back to the minimum-norm solution.
     """
     if lambda_hat < 0:
         raise ValueError("lambda_hat must be nonnegative")
     Hk = np.atleast_2d(np.asarray(Hk, dtype=float))
-    mp1, k = Hk.shape
-    rhs = np.zeros(mp1)
+    svd = projected_svd(Hk, beta) if svd is None else svd
+    y = svd[1] @ _filtered(svd, lambda_hat)
+    rhs = np.zeros(Hk.shape[0])
     rhs[0] = beta
-    if lambda_hat > 0:
-        A = np.vstack([Hk, np.sqrt(lambda_hat) * np.eye(k)])
-        b = np.concatenate([rhs, np.zeros(k)])
-    else:
-        A, b = Hk, rhs
-    y = np.linalg.lstsq(A, b, rcond=None)[0]
     return y, float(np.linalg.norm(Hk @ y - rhs))
 
 
@@ -274,14 +290,16 @@ def secant_lambda_update(history, epsilon, theta, h_norm2=1.0, lam_max=1e10):
     return float(min(max(lam, 0.0), lam_max))
 
 
-def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60):
+def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60,
+                          svd=None):
     """Minimize ||target - y(lambda)|| over a log grid refined by
-    golden-section search (test-harness oracle)."""
-    H = np.asarray(H, dtype=float)
+    golden-section search (test-harness oracle).  A trial costs O(k): for
+    a tall H, Q is square and ||target - Q f|| = ||Q^T target - f||."""
+    svd = projected_svd(H, beta) if svd is None else svd
+    t = svd[1].T @ target
 
     def err(lam):
-        y, _ = projected_tikhonov(H, beta, lam)
-        return float(np.linalg.norm(target - y))
+        return float(np.linalg.norm(t - _filtered(svd, lam)))
 
     if grid is None:
         grid = np.logspace(-16, 2, 37)
@@ -334,11 +352,13 @@ class _LambdaRule:
     def solve(self, H, beta, target=None):
         """Projected Tikhonov with the rule's current lambda; for the
         optimal rule, pick lambda minimizing ||target - y(lambda)||.
+        Every lambda is served by one SVD of H.
         Returns (y, projected residual, lambda used)."""
+        svd = projected_svd(H, beta)
         if self.kind == "optimal" and target is not None:
-            self.current = optimal_lambda_search(H, beta, target)
+            self.current = optimal_lambda_search(H, beta, target, svd=svd)
         lam = self.current
-        y, resid = projected_tikhonov(H, beta, lam)
+        y, resid = projected_tikhonov(H, beta, lam, svd=svd)
         if self.kind == "secant" and self.stop is not None:
             self.history.append((lam, resid))
             self.current = secant_lambda_update(
@@ -448,13 +468,15 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
         if rnorm <= _BREAKDOWN_REL * np.linalg.norm(b):
             report.stop_reason = "zero_residual"
             break
-        V = [r / rnorm]
-        AV = [op.matvec(V[0])]
+        V, AV = _zeros(op.cols), _zeros(op.rows)  # basis and A times it
+        V[:, 0] = r / rnorm
+        AV[:, 0] = op.matvec(V[:, 0])
+        m = 1
         stopped = False
         for _ in range(restart_len):
             it += 1
-            u = AV[-1]
-            Vm = np.column_stack(V)
+            u = AV[:, m - 1]
+            Vm = V[:, :m]
             G = Vm.T @ Vm
             rhs = Vm.T @ u
             try:
@@ -465,11 +487,12 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
             wt = truncate(w, truncation_rank)
             wnorm = np.linalg.norm(wt)
             if wnorm > _BREAKDOWN_REL * max(np.linalg.norm(u), 1.0):
-                V.append(wt / wnorm)
-                AV.append(op.matvec(V[-1]))
+                V, AV = _room(V, m + 1), _room(AV, m + 1)
+                V[:, m] = wt / wnorm
+                AV[:, m] = op.matvec(V[:, m])
+                m += 1
             # projected oblique solve on the current basis, for metrics
-            Vm = np.column_stack(V)
-            Um = np.column_stack(AV[: len(V)])
+            Vm, Um = V[:, :m], AV[:, :m]
             Gk = Um.T @ Um
             rhsk = Um.T @ r
             try:

@@ -7,6 +7,14 @@ accepts for it, with the discrepancy stop on and off.  ``iterations_run``
 and ``stop_reason`` must match ``answers.json`` exactly, and
 ``min_rel_error`` and the last recorded residual to 1e-8 relative.
 
+Under the optimal rule the last residual is held to 1e-5 only.  That rule
+picks lambda by a golden-section search on an error that is flat near its
+minimum, so lambda, and the residual with it, are fixed by rounding to
+about 1e-6: stacking the projected Tikhonov problem as [sqrt(lambda) I; H]
+instead of [H; sqrt(lambda) I], the same problem, moved the residual of
+``inpainting/lsqr/optimal/nostop`` by 1.4e-6 at iteration 10.  The error
+the search minimizes does not move (1e-8 still holds there).
+
     PYTHONPATH=src python tests/test_answers.py
 
 rewrites ``answers.json``.  Run it only for a change that means to move
@@ -24,6 +32,7 @@ from lrkrylov import cli
 
 PATH = Path(__file__).with_name("answers.json")
 RTOL = 1e-8
+RTOL_OPTIMAL_RESIDUAL = 1e-5
 
 PROBLEMS = {
     "star": {"type": "star", "n": 32, "seed": 1},
@@ -84,8 +93,11 @@ def test_answer(case):
     got, want = answer(*CASES[case]), STORED[case]
     for key in ("iterations_run", "stop_reason"):
         assert got[key] == want[key], key
-    for key in ("min_rel_error", "last_residual"):
-        assert abs(got[key] - want[key]) <= RTOL * abs(want[key]), key
+    rtol = {"min_rel_error": RTOL, "last_residual": RTOL}
+    if CASES[case][1]["lambda_rule"] == "optimal":
+        rtol["last_residual"] = RTOL_OPTIMAL_RESIDUAL
+    for key, tol in rtol.items():
+        assert abs(got[key] - want[key]) <= tol * abs(want[key]), key
 
 
 def main():
