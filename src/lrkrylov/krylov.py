@@ -9,6 +9,10 @@ Bases are dense column-major (Fortran-order) arrays that start 16 columns
 wide and double their width when full, so a step appends a column in
 place and ``V_mat()`` and friends are views, not copies (desk scale,
 N <= 65536, <= 200 steps).
+
+Every lambda rule is served by one thin SVD H = P S Q^T of the projected
+matrix per iteration, so a trial lambda costs O(k), not a least-squares
+solve (the SVD-filter form of hybrid methods, Chung, Nagy & O'Leary 2008).
 """
 
 from dataclasses import dataclass
