@@ -52,8 +52,8 @@ LAMBDA_RULES = {
     "rs-lr-gmres": frozenset({"zero"}), "svt": frozenset({"zero"}),
 }
 # solvers whose discrepancy stop comes only from "use_discrepancy"; the
-# secant rule moves lambda only when there is a stop, so without one it
-# would silently run them with lambda = 0
+# secant rule aims at that stop, so it needs the flag here and a
+# discrepancy level (epsilon or the noise norm) everywhere
 DISCREPANCY_BY_FLAG = frozenset({"gmres", "lsqr", "lr-fgmres", "lr-flsqr"})
 
 
@@ -117,12 +117,11 @@ def run_solver(spec, problem):
                   int(spec.get("kappa", _DEFAULT_RANK)), max_iter, stop,
                   lam_rule, x_exact)
     if name in ("irn-gmres-nnrp", "irn-lsqr-nnrp"):
-        inner = "arnoldi" if name == "irn-gmres-nnrp" else "gkb"
-        return nnr.irn_nnrp(op, b, cfg, inner=inner, x_exact=x_exact)
+        return nnr.irn_nnrp(op, b, cfg, gkb=name == "irn-lsqr-nnrp",
+                            x_exact=x_exact)
     if name in ("fgmres-nnrp", "flsqr-nnrp", "fgmres-nnrp-v", "flsqr-nnrp-v"):
-        inner = "farnoldi" if name.startswith("fgmres") else "fgk"
-        variant = "basis-v" if name.endswith("-v") else "iterate"
-        return nnr.flexible_nnrp(op, b, cfg, inner=inner, variant=variant,
+        return nnr.flexible_nnrp(op, b, cfg, gkb=name.startswith("flsqr"),
+                                 from_basis=name.endswith("-v"),
                                  x_exact=x_exact)
     if name == "svt":
         return nnr.svt(op, b, float(spec.get("tau", 1.0)),
@@ -177,6 +176,13 @@ def _validate_solver(spec, problem):
             and not spec.get("use_discrepancy", False)):
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
                           "discrepancy stop, \"use_discrepancy\": true")
+    eps = spec.get("epsilon")
+    if eps is None:  # True stands for the noise norm
+        eps = bool(spec.get("use_noise_norm", True))
+    if rule == "secant" and not (isinstance(eps, (int, float)) and eps > 0):
+        raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
+                          "discrepancy level, a positive \"epsilon\" or "
+                          "\"use_noise_norm\": true")
     n = problem.get("n")
     if n is None and kind == "inpainting":
         n = inspect.signature(

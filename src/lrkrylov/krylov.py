@@ -43,6 +43,8 @@ __all__ = [
 
 _BREAKDOWN_REL = 1e-12
 _WIDTH = 16  # starting number of columns of every basis
+_LAMBDA_GRID = np.logspace(-16, 2, 37)  # trial lambdas of the optimal rule
+_GOLDEN_ITERS = 60  # golden-section steps that refine the best of them
 
 
 def _orthogonalize(w, Q):
@@ -294,8 +296,7 @@ def secant_lambda_update(history, epsilon, theta, h_norm2=1.0, lam_max=1e10):
     return float(min(max(lam, 0.0), lam_max))
 
 
-def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60,
-                          svd=None):
+def optimal_lambda_search(H, beta, target, svd=None):
     """Minimize ||target - y(lambda)|| over a log grid refined by
     golden-section search (test-harness oracle).  A trial costs O(k): for
     a tall H, Q is square and ||target - Q f|| = ||Q^T target - f||."""
@@ -305,8 +306,7 @@ def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60,
     def err(lam):
         return float(np.linalg.norm(t - _filtered(svd, lam)))
 
-    if grid is None:
-        grid = np.logspace(-16, 2, 37)
+    grid = _LAMBDA_GRID
     vals = [err(g) for g in grid]
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
@@ -319,7 +319,7 @@ def optimal_lambda_search(H, beta, target, grid=None, golden_iters=60,
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = err(np.exp(c)), err(np.exp(d))
-    for _ in range(golden_iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -339,17 +339,19 @@ class _LambdaRule:
     """Per-iteration regularization parameter selection for hybrid solves.
 
     ``kind`` is one of zero / fixed / secant / optimal.  The secant rule
-    keeps a (lambda, residual) history, so each inner cycle needs a fresh
-    rule; the optimal rule needs the exact solution projected on the
-    current basis.
+    aims at the discrepancy ``stop``, which it requires, and keeps a
+    (lambda, residual) history, so each inner cycle needs a fresh rule;
+    the optimal rule needs the exact solution projected on the current
+    basis.
     """
 
-    def __init__(self, kind="zero", value=0.0, stop=None, lam_max=1e10):
+    def __init__(self, kind="zero", value=0.0, stop=None):
         if kind not in ("zero", "fixed", "secant", "optimal"):
             raise ValueError(f"unknown lambda rule {kind!r}")
+        if kind == "secant" and stop is None:
+            raise ValueError("the secant rule needs a discrepancy stop")
         self.kind = kind
         self.stop = stop
-        self.lam_max = lam_max
         self.history = []
         self.current = value if kind == "fixed" else 0.0
 
@@ -359,15 +361,15 @@ class _LambdaRule:
         Every lambda is served by one SVD of H.
         Returns (y, projected residual, lambda used)."""
         svd = projected_svd(H, beta)
-        if self.kind == "optimal" and target is not None:
+        if self.kind == "optimal":
             self.current = optimal_lambda_search(H, beta, target, svd=svd)
         lam = self.current
         y, resid = projected_tikhonov(H, beta, lam, svd=svd)
-        if self.kind == "secant" and self.stop is not None:
+        if self.kind == "secant":
             self.history.append((lam, resid))
             self.current = secant_lambda_update(
                 self.history, self.stop.epsilon, self.stop.theta,
-                h_norm2=float(np.linalg.norm(H) ** 2), lam_max=self.lam_max,
+                h_norm2=float(np.linalg.norm(H) ** 2),
             )
         return y, resid, lam
 
@@ -395,6 +397,8 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
     iteration ``offset + k`` of cycle ``outer`` and tests the stops; then
     ``after(x)`` runs.  Returns (x, projected residual, stop reason).
     """
+    if rule.kind == "optimal" and x_target is None:
+        raise ValueError("the optimal lambda rule needs the exact solution")
     state = gkb_start(op, b) if gkb else arnoldi_start(op, b)
     step = gkb_step if gkb else arnoldi_step
     x, resid, reason = np.zeros(op.cols), state.beta, "max_iter"
@@ -404,7 +408,7 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
             reason = "breakdown"
             break
         target = None
-        if rule.kind == "optimal" and x_target is not None:
+        if rule.kind == "optimal":
             target = state.V_mat()[:, : state.k].T @ x_target
         proj = state.M_mat() if gkb else state.H_mat()
         y, resid, lam = rule.solve(proj, state.beta, target)
@@ -449,6 +453,17 @@ def lsqr(op, b, max_iter, stop=None, lambda_rule=None, x_exact=None):
                       gkb=True, x_target=x_exact)
 
 
+def _gram_solve(B, r):
+    """Least-squares coefficients of r on the columns of B from the Gram
+    system (B^T B) c = B^T r, shifted by 1e-12 I when it is singular."""
+    G = B.T @ B
+    rhs = B.T @ r
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(G + 1e-12 * np.eye(G.shape[0]), rhs)
+
+
 def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
                 x_exact=None):
     """Restarted GMRES with rank truncation of basis vectors and iterates.
@@ -456,7 +471,9 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
     Inner basis vectors are orthogonalized against the previous
     (non-orthonormal) basis through a Gram solve, then truncated; the
     outer update truncates x + V_m y with y from the oblique projection
-    (U_m^T A V_m) y = U_m^T r, U_m = A V_m.
+    (U_m^T A V_m) y = U_m^T r, U_m = A V_m.  A step whose truncated
+    direction is negligible is recorded once and ends the cycle, since
+    the next step would repeat it.
     """
     if op.rows != op.cols:
         raise ValueError("RS-LR-GMRES requires a square operator")
@@ -481,35 +498,25 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
             it += 1
             u = AV[:, m - 1]
             Vm = V[:, :m]
-            G = Vm.T @ Vm
-            rhs = Vm.T @ u
-            try:
-                coef = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError:
-                coef = np.linalg.solve(G + 1e-12 * np.eye(G.shape[0]), rhs)
-            w = u - Vm @ coef
-            wt = truncate(w, truncation_rank)
+            wt = truncate(u - Vm @ _gram_solve(Vm, u), truncation_rank)
             wnorm = np.linalg.norm(wt)
-            if wnorm > _BREAKDOWN_REL * max(np.linalg.norm(u), 1.0):
+            grown = wnorm > _BREAKDOWN_REL * max(np.linalg.norm(u), 1.0)
+            if grown:
                 V, AV = _room(V, m + 1), _room(AV, m + 1)
                 V[:, m] = wt / wnorm
                 AV[:, m] = op.matvec(V[:, m])
                 m += 1
             # projected oblique solve on the current basis, for metrics
-            Vm, Um = V[:, :m], AV[:, :m]
-            Gk = Um.T @ Um
-            rhsk = Um.T @ r
-            try:
-                y = np.linalg.solve(Gk, rhsk)
-            except np.linalg.LinAlgError:
-                y = np.linalg.solve(Gk + 1e-12 * np.eye(Gk.shape[0]), rhsk)
-            xt = truncate(x + Vm @ y, truncation_rank)
+            y = _gram_solve(AV[:, :m], r)
+            xt = truncate(x + V[:, :m] @ y, truncation_rank)
             resid = np.linalg.norm(b - op.matvec(xt))
             report.record(it, outer, xt, resid, 0.0, x_exact)
             if stop is not None and stop.satisfied(resid):
                 report.stop_reason = "discrepancy"
                 stopped = True
                 break
+            if not grown:
+                break  # the next step would repeat this one: restart
         x = report.final_x
         if stopped:
             break

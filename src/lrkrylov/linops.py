@@ -56,7 +56,6 @@ class LinearOperator:
     image_side: int
     apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     apply_adjoint: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    kind: str = "explicit-dense"
 
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
@@ -92,10 +91,6 @@ class LinearOperator:
             e[j] = 0.0
         return A
 
-    def save_dense(self, path):
-        """Write the explicit matrix as plain text, one row per line."""
-        np.savetxt(path, self.to_dense(), fmt="%.17g")
-
 
 def from_dense(A, image_side=None):
     """Wrap an explicit matrix as a LinearOperator."""
@@ -109,7 +104,6 @@ def from_dense(A, image_side=None):
         image_side=image_side,
         apply=lambda x, A=A: A @ x,
         apply_adjoint=lambda y, A=A: A.T @ y,
-        kind="explicit-dense",
     )
 
 
@@ -121,7 +115,6 @@ def identity_operator(n):
         image_side=n,
         apply=lambda x: np.array(x, dtype=float, copy=True),
         apply_adjoint=lambda y: np.array(y, dtype=float, copy=True),
-        kind="explicit-dense",
     )
 
 
@@ -160,10 +153,7 @@ def gaussian_blur_operator(n, sigma, bandwidth):
         return vec(B.T @ unvec(y, n) @ B)
 
     N = n * n
-    return LinearOperator(N, N, n, apply, apply_adjoint, kind="blur")
-
-# expose the factor for tests against the explicit Kronecker form
-gaussian_blur_operator.band_matrix = _blur_band_matrix
+    return LinearOperator(N, N, n, apply, apply_adjoint)
 
 
 def shaking_blur_operator(n, n_steps=8, seed=0):
@@ -213,7 +203,7 @@ def shaking_blur_operator(n, n_steps=8, seed=0):
         return vec(w * out)
 
     N = n * n
-    return LinearOperator(N, N, n, apply, apply_adjoint, kind="blur")
+    return LinearOperator(N, N, n, apply, apply_adjoint)
 
 
 def tomography_operator(n, angles, detector_count):
@@ -247,7 +237,6 @@ def tomography_operator(n, angles, detector_count):
         image_side=n,
         apply=lambda x, A=A: A @ x,
         apply_adjoint=lambda y, At=At: At @ y,
-        kind="tomography",
     )
 
 
@@ -276,5 +265,4 @@ def inpainting_operator(n, mask, blur):
         image_side=n,
         apply=apply,
         apply_adjoint=apply_adjoint,
-        kind="inpainting",
     )

@@ -105,18 +105,16 @@ class Reweighter:
     U: np.ndarray
     V: np.ndarray
     inv_weights: np.ndarray
-    p: float
-    gamma: float
 
     @property
     def side(self):
         return self.U.shape[0]
 
 
-def identity_reweighter(n, p=1.0, gamma=1.0):
+def identity_reweighter(n):
     """W_0 = I, S_0 = I: the starting reweighter of every solver."""
     eye = np.eye(n)
-    return Reweighter(eye, eye, np.ones(n), p, gamma)
+    return Reweighter(eye, eye, np.ones(n))
 
 
 def build_reweighter(Xk, p, gamma):
@@ -126,10 +124,10 @@ def build_reweighter(Xk, p, gamma):
         raise ValueError("gamma must be positive")
     f = svd(np.asarray(Xk, dtype=float))
     inv_w = (f.sigma**2 + gamma) ** (0.5 - p / 4.0)
-    return Reweighter(f.U, f.V, inv_w, p, gamma)
+    return Reweighter(f.U, f.V, inv_w)
 
 
-def build_reweighter_from_basis(v_i, p, gamma):
+def build_reweighter_from_basis(v_i, p):
     """Reweighter from a basis vector ("(v)" variant): inverse weights
     sigma_i^{1/2 - p/4} taken from the SVD of unvec(v_i)."""
     v_i = np.asarray(v_i, dtype=float)
@@ -138,7 +136,7 @@ def build_reweighter_from_basis(v_i, p, gamma):
     n = int(round(np.sqrt(v_i.size)))
     f = svd(unvec(v_i, n))
     inv_w = f.sigma ** (0.5 - p / 4.0)
-    return Reweighter(f.U, f.V, inv_w, p, gamma)
+    return Reweighter(f.U, f.V, inv_w)
 
 
 def _weight_diag(rw, power):

@@ -45,7 +45,9 @@ class NnrConfig:
 
     gamma follows the geometric schedule gamma_{k+1} = max(gamma_k /
     gamma_decay, gamma_min), applied per outer cycle (IRN) or per
-    iteration (flexible).
+    iteration (flexible).  ``epsilon`` > 0 turns on the discrepancy stop,
+    which the secant rule needs.  The solvers take the Krylov process
+    (``gkb``) and the reweighting source (``from_basis``) as arguments.
     """
 
     p: float = 1.0
@@ -60,7 +62,6 @@ class NnrConfig:
     max_inner: int = 50
     max_iter: int = 100
     tau_sigma: float = 0.1
-    identity_preconditioner: bool = False  # degeneration knob for tests
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
@@ -87,51 +88,51 @@ def outer_stop_singular_values(sigma_prev, sigma_curr, tau_sigma):
     return float(np.linalg.norm(b - a)) < tau_sigma
 
 
-def _reweighted_operator(op, rw, inner, b):
+def _reweighted_operator(op, rw, gkb, b):
     """The operator of one reweighted inner solve, with its true adjoint,
     and its start vector.
 
     gkb:     A_hat = A S^T W^{-1}          (right preconditioning), b
     arnoldi: A_hat = S A S^T W^{-1}        (orthogonal left + right), S b
     """
-    if inner == "gkb":
+    if gkb:
         left = left_adjoint = lambda v: v
-    elif inner == "arnoldi":
+    else:
         left = lambda v: apply_transform(rw, v, "S")
         left_adjoint = lambda u: apply_transform(rw, u, "S_transpose")
-    else:
-        raise ValueError(f"unknown inner method {inner!r}")
     return LinearOperator(
         op.rows, op.cols, op.image_side,
         lambda x: left(op.matvec(apply_transform(rw, x, "S_transpose", -1))),
         lambda u: apply_transform(rw, op.rmatvec(left_adjoint(u)), "S", -1),
-        kind=f"reweighted-{inner}"), left(b)
+    ), left(b)
 
 
 def reweighted_krylov_solve(op, b, reweighter, lambda_rule, n_steps,
-                            inner="gkb", stop=None, report=None, outer=0,
+                            gkb=True, stop=None, report=None, outer=0,
                             iteration_offset=0, x_exact=None):
-    """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair.
+    """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair,
+    by Golub-Kahan (``gkb``) or Arnoldi.
 
     ``lambda_rule`` is a fixed lambda, a rule kind or a rule.  Returns
     (x, projected residual at the last step, stop reason).  Used as the
     inner cycle of the IRN solvers and directly by the fixed-point tests.
     """
-    wop, b0 = _reweighted_operator(op, reweighter, inner, b)
+    wop, b0 = _reweighted_operator(op, reweighter, gkb, b)
     rule = krylov._make_rule(lambda_rule, stop)
     x_target = None
     if rule.kind == "optimal" and x_exact is not None:
         x_target = apply_transform(reweighter, x_exact, "S", 1)
     return krylov.hybrid(
-        wop, b0, n_steps, rule, report, inner == "gkb", stop=stop,
+        wop, b0, n_steps, rule, report, gkb, stop=stop,
         solution=lambda xh: apply_transform(reweighter, xh, "S_transpose",
                                             -1),
         x_target=x_target, x_exact=x_exact, outer=outer,
         offset=iteration_offset)
 
 
-def irn_nnrp(op, b, config, inner="gkb", x_exact=None):
-    """Inner-outer iteratively reweighted nuclear-norm solver.
+def irn_nnrp(op, b, config, gkb=True, x_exact=None):
+    """Inner-outer iteratively reweighted nuclear-norm solver:
+    irn-lsqr-nnrp with ``gkb``, irn-gmres-nnrp (Arnoldi) without.
 
     Each outer cycle rebuilds (W, S) from the SVD of the current iterate
     (identity at the start), reruns the preconditioned Krylov method from
@@ -142,75 +143,64 @@ def irn_nnrp(op, b, config, inner="gkb", x_exact=None):
     b = np.asarray(b, dtype=float)
     n = op.image_side
     gamma = config.gamma0
-    rw = identity_reweighter(n, config.p, gamma)
+    rw = identity_reweighter(n)
     stop = config.stop()
-    report = SolveReport(solver=f"irn-{'lsqr' if inner == 'gkb' else 'gmres'}-nnrp")
+    report = SolveReport(solver=f"irn-{'lsqr' if gkb else 'gmres'}-nnrp")
     prev_spectrum = None
     it = 0
     for k in range(config.max_outer):
         rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value,
                                   stop)
         x, _, reason = reweighted_krylov_solve(
-            op, b, rw, rule, config.max_inner, inner=inner, stop=stop,
+            op, b, rw, rule, config.max_inner, gkb=gkb, stop=stop,
             report=report, outer=k, iteration_offset=it, x_exact=x_exact,
         )
         it = report.iterations[-1] if report.iterations else it
         X = unvec(x, n)
-        sigma = svd(X).sigma
-        top = sigma[0] if sigma[0] > 0 else 1.0
-        report.add_spectrum(k, sigma)
+        spectrum = report.add_spectrum(k, svd(X).sigma)
         if prev_spectrum is not None and outer_stop_singular_values(
-                prev_spectrum, sigma / top, config.tau_sigma):
+                prev_spectrum, spectrum, config.tau_sigma):
             report.stop_reason = "singular_values"
             return report
-        prev_spectrum = sigma / top
+        prev_spectrum = spectrum
         gamma = max(gamma / config.gamma_decay, config.gamma_min)
-        if not config.identity_preconditioner:
-            rw = build_reweighter(X, config.p, gamma)
+        rw = build_reweighter(X, config.p, gamma)
         report.stop_reason = reason if reason == "breakdown" else "max_outer"
     return report
 
 
-def flexible_nnrp(op, b, config, inner="fgk", variant="iterate",
-                  x_exact=None):
-    """Single-loop flexible nuclear-norm solver (heuristic).
+def flexible_nnrp(op, b, config, gkb=True, from_basis=False, x_exact=None):
+    """Single-loop flexible nuclear-norm solver (heuristic): flexible
+    Golub-Kahan (flsqr-nnrp) with ``gkb``, flexible Arnoldi (fgmres-nnrp)
+    without, and the "-v" variant with ``from_basis``.
 
     The preconditioner applied to the i-th basis vector is built from the
-    SVD of the previous iterate ("iterate" variant) or of the basis
-    vector itself ("basis-v"); the net weight power is -2 for the
-    Golub-Kahan family and -1 for the Arnoldi family.
+    SVD of the previous iterate, or with ``from_basis`` of the basis
+    vector itself; the net weight power is -2 for the Golub-Kahan family
+    and -1 for the Arnoldi family.
     """
-    if variant not in ("iterate", "basis-v"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if inner not in ("fgk", "farnoldi"):
-        raise ValueError(f"unknown inner method {inner!r}")
     n = op.image_side
     gamma = config.gamma0
-    rw = identity_reweighter(n, config.p, gamma)
-    power = -2 if inner == "fgk" else -1
+    rw = identity_reweighter(n)
+    power = -2 if gkb else -1
     stop = config.stop()
 
     def precond(v):
         nonlocal rw
-        if config.identity_preconditioner:
-            return np.array(v, copy=True)
-        if variant == "basis-v" and np.any(v):
-            rw = build_reweighter_from_basis(v, config.p, gamma)
+        if from_basis and np.any(v):
+            rw = build_reweighter_from_basis(v, config.p)
         return precondition(rw, v, power)
 
     def after(x):
         nonlocal gamma, rw
         gamma = max(gamma / config.gamma_decay, config.gamma_min)
-        if variant == "iterate" and not config.identity_preconditioner:
-            rw = build_reweighter(unvec(x, n), config.p, gamma)
+        rw = build_reweighter(unvec(x, n), config.p, gamma)
 
-    name = "flsqr-nnrp" if inner == "fgk" else "fgmres-nnrp"
-    if variant == "basis-v":
-        name += "-v"
+    name = f"{'flsqr' if gkb else 'fgmres'}-nnrp{'-v' if from_basis else ''}"
     rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value, stop)
     return krylov.run_hybrid(name, op, b, config.max_iter, stop, rule,
-                             x_exact, gkb=inner == "fgk",
-                             precondition=precond, after=after)
+                             x_exact, gkb=gkb, precondition=precond,
+                             after=None if from_basis else after)
 
 
 def svt(op, b, tau, delta, max_iter, stop=None, x_exact=None):

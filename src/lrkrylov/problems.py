@@ -1,4 +1,4 @@
-"""Desk-scale test problem generators, noise injection, and metrics.
+"""Desk-scale test problem generators, noise injection, and PGM images.
 
 Three families mirror the experiment setups: a rank-2 "binary star"
 deblurring problem, a rank-4 smooth phantom with limited-angle
@@ -7,9 +7,7 @@ rank-capped synthetic textures (or a user-supplied image file).
 All generators are deterministic given their seed.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,18 +17,15 @@ from .linops import (
     inpainting_operator,
     shaking_blur_operator,
     tomography_operator,
-    unvec,
     vec,
 )
-from .lowrank import svd, truncate
+from .lowrank import truncate
 
 __all__ = [
     "TestProblem",
     "star_problem",
     "phantom_problem",
     "inpainting_problem",
-    "relative_error",
-    "normalized_spectrum",
     "write_pgm",
     "read_pgm",
 ]
@@ -198,30 +193,6 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
     return _add_noise(op, x_exact, noise_level, rng, seed)
 
 
-def relative_error(x, x_exact):
-    x = np.asarray(x, dtype=float)
-    x_exact = np.asarray(x_exact, dtype=float)
-    if x.size != x_exact.size:
-        raise ValueError("length mismatch")
-    denom = np.linalg.norm(x_exact)
-    if denom == 0:
-        raise ValueError("exact solution is zero")
-    return float(np.linalg.norm(x_exact - x) / denom)
-
-
-def normalized_spectrum(x, drop_below=None):
-    """Singular values of unvec(x) divided by the largest; values below
-    ``drop_below`` (e.g. 1e-3 for export) are omitted when requested."""
-    x = np.asarray(x, dtype=float)
-    n = int(round(np.sqrt(x.size)))
-    s = svd(unvec(x, n)).sigma
-    top = s[0] if s.size and s[0] > 0 else 1.0
-    s = s / top
-    if drop_below is not None:
-        s = s[s >= drop_below]
-    return s
-
-
 def write_pgm(path, X, lo=None, hi=None):
     """Write a 16-bit binary PGM, linearly rescaled to [0, 65535]."""
     X = np.asarray(X, dtype=float)
@@ -253,23 +224,3 @@ def read_pgm(path):
         data = np.frombuffer(fh.read(), dtype=dtype, count=w * h)
     return data.reshape(h, w).astype(float) / maxval
 
-
-def export_problem(problem, directory, params=None):
-    """Write a problem as PGM images plus JSON metadata."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    n = problem.op.image_side
-    write_pgm(directory / "x_exact.pgm", unvec(problem.x_exact, n))
-    meta = {
-        "seed": problem.seed,
-        "noise_level": problem.noise_level,
-        "rows": problem.op.rows,
-        "cols": problem.op.cols,
-        "image_side": n,
-        "kind": problem.op.kind,
-        "params": params or {},
-    }
-    np.savetxt(directory / "b.txt", problem.b, fmt="%.17g")
-    np.savetxt(directory / "b_exact.txt", problem.b_exact, fmt="%.17g")
-    np.savetxt(directory / "x_exact.txt", problem.x_exact, fmt="%.17g")
-    (directory / "problem.json").write_text(json.dumps(meta, indent=2))

@@ -67,9 +67,11 @@ class SolveReport:
             self.best_x = x
 
     def add_spectrum(self, outer, sigma):
+        """Record sigma / sigma_1 for cycle ``outer`` and return it."""
         sigma = np.asarray(sigma, dtype=float)
         top = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
         self.spectra.append((outer, sigma / top))
+        return self.spectra[-1][1]
 
     def add_best_spectrum(self, n):
         """End of a single-loop run: the spectrum of the n x n best iterate

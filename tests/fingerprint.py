@@ -1,0 +1,48 @@
+"""One SHA-256 per answer-fixture case, taken over the full solve report.
+
+Runs every case of ``test_answers.py`` and hashes its iterations, outer
+indices, residuals, lambdas, relative errors, ``final_x``, ``best_x``,
+spectra and stop reason, so that two checkouts can be compared bitwise:
+
+    PYTHONPATH=src python tests/fingerprint.py > after.txt
+    diff before.txt after.txt    # before.txt: the same command on the parent
+
+pytest does not collect this file.
+"""
+
+import hashlib
+import sys
+
+import numpy as np
+
+from test_answers import CASES, problem
+
+from lrkrylov import cli
+
+
+def _floats(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def fingerprint(report):
+    h = hashlib.sha256()
+    for part in (report.iterations, report.outer_indices, report.residuals,
+                 report.lambdas, report.rel_errors):
+        h.update(_floats(part))
+    for x in (report.final_x, report.best_x):
+        h.update(b"none" if x is None else _floats(x))
+    for outer, sigma in report.spectra:
+        h.update(_floats([outer]) + _floats(sigma))
+    h.update(report.stop_reason.encode())
+    return h.hexdigest()
+
+
+def main():
+    for case in sorted(CASES):
+        pname, spec = CASES[case]
+        print(fingerprint(cli.run_solver(spec, problem(pname))), case)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

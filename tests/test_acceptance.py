@@ -131,14 +131,14 @@ def test_03_projected_residual_equals_true_residual():
         "gmres": lambda: gmres(op, b, 12),
         "lsqr": lambda: lsqr(op, b, 12),
         "rs-lr-gmres": lambda: rs_lr_gmres(op, b, 4, 3, 3),
-        "irn-gmres-nnrp": lambda: irn_nnrp(op, b, cfg, inner="arnoldi"),
-        "irn-lsqr-nnrp": lambda: irn_nnrp(op, b, cfg, inner="gkb"),
-        "fgmres-nnrp": lambda: flexible_nnrp(op, b, cfg, inner="farnoldi"),
-        "flsqr-nnrp": lambda: flexible_nnrp(op, b, cfg, inner="fgk"),
-        "fgmres-nnrp-v": lambda: flexible_nnrp(op, b, cfg, inner="farnoldi",
-                                               variant="basis-v"),
-        "flsqr-nnrp-v": lambda: flexible_nnrp(op, b, cfg, inner="fgk",
-                                              variant="basis-v"),
+        "irn-gmres-nnrp": lambda: irn_nnrp(op, b, cfg, gkb=False),
+        "irn-lsqr-nnrp": lambda: irn_nnrp(op, b, cfg, gkb=True),
+        "fgmres-nnrp": lambda: flexible_nnrp(op, b, cfg, gkb=False),
+        "flsqr-nnrp": lambda: flexible_nnrp(op, b, cfg, gkb=True),
+        "fgmres-nnrp-v": lambda: flexible_nnrp(op, b, cfg, gkb=False,
+                                               from_basis=True),
+        "flsqr-nnrp-v": lambda: flexible_nnrp(op, b, cfg, gkb=True,
+                                              from_basis=True),
         "svt": lambda: nnr.svt(op, b, 0.5, 0.9, 12),
     }
     worst = 0.0
@@ -165,8 +165,8 @@ def test_04_reweighted_solve_reaches_fixed_point():
     W = np.diag(np.tile(1.0 / rw.inv_weights, n))
     x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
     worst = 0.0
-    for inner in ("gkb", "arnoldi"):
-        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n, inner=inner)
+    for gkb in (True, False):
+        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n, gkb=gkb)
         worst = max(worst,
                     np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle))
     assert worst <= 1e-6
@@ -213,7 +213,8 @@ def test_06_surrogate_gradient_matches_finite_differences():
              f"(worst relative gap {worst:.2e})")
 
 
-def test_07_preconditioned_solvers_degenerate_to_standard():
+def test_07_preconditioned_solvers_degenerate_to_standard(
+        identity_reweighting):
     prob = star_problem(16, noise_level=1e-3, seed=2)
     op, b, xe = prob.op, prob.b, prob.x_exact
     iters = 10
@@ -222,17 +223,15 @@ def test_07_preconditioned_solvers_degenerate_to_standard():
     def gap(x, x_ref):
         return np.linalg.norm(x - x_ref) / max(np.linalg.norm(x_ref), 1.0)
 
-    cfg = NnrConfig(max_outer=1, max_inner=iters, max_iter=iters,
-                    identity_preconditioner=True)
+    cfg = NnrConfig(max_outer=1, max_inner=iters, max_iter=iters)
     ref_g = gmres(op, b, iters, x_exact=xe).final_x
     ref_l = lsqr(op, b, iters, x_exact=xe).final_x
+    worst = max(worst, gap(irn_nnrp(op, b, cfg, gkb=False).final_x, ref_g))
+    worst = max(worst, gap(irn_nnrp(op, b, cfg, gkb=True).final_x, ref_l))
     worst = max(worst, gap(
-        irn_nnrp(op, b, cfg, inner="arnoldi").final_x, ref_g))
-    worst = max(worst, gap(irn_nnrp(op, b, cfg, inner="gkb").final_x, ref_l))
+        flexible_nnrp(op, b, cfg, gkb=False).final_x, ref_g))
     worst = max(worst, gap(
-        flexible_nnrp(op, b, cfg, inner="farnoldi").final_x, ref_g))
-    worst = max(worst, gap(
-        flexible_nnrp(op, b, cfg, inner="fgk").final_x, ref_l))
+        flexible_nnrp(op, b, cfg, gkb=True).final_x, ref_l))
     worst = max(worst, gap(lr_fgmres(op, b, 16, 16, iters).final_x, ref_g))
     worst = max(worst, gap(lr_flsqr(op, b, 16, 16, iters).final_x, ref_l))
     ref_g9 = gmres(op, b, iters + 1, x_exact=xe).final_x
@@ -247,7 +246,7 @@ def test_08_reweighting_improves_deblurring():
     base = gmres(prob.op, prob.b, 100, x_exact=prob.x_exact)
     cfg = NnrConfig(max_outer=4, max_inner=25, tau_sigma=0.0,
                     epsilon=prob.noise_norm)
-    irn = irn_nnrp(prob.op, prob.b, cfg, inner="arnoldi",
+    irn = irn_nnrp(prob.op, prob.b, cfg, gkb=False,
                    x_exact=prob.x_exact)
     assert irn.min_rel_error < 0.9 * base.min_rel_error
     _pass(8, f"deblurring: reweighted GMRES reaches {irn.min_rel_error:.4f} "
@@ -258,8 +257,8 @@ def test_09_flexible_solver_improves_tomography():
     prob = phantom_problem(64, seed=11)
     base = lsqr(prob.op, prob.b, 100, x_exact=prob.x_exact)
     cfg = NnrConfig(max_iter=100)
-    flex = flexible_nnrp(prob.op, prob.b, cfg, inner="fgk",
-                         variant="basis-v", x_exact=prob.x_exact)
+    flex = flexible_nnrp(prob.op, prob.b, cfg, gkb=True,
+                         from_basis=True, x_exact=prob.x_exact)
     assert flex.min_rel_error < 0.9 * base.min_rel_error
     _pass(9, f"tomography: flexible nuclear-norm LSQR reaches "
              f"{flex.min_rel_error:.4f} vs plain LSQR "
@@ -272,9 +271,9 @@ def test_10_nuclear_norm_solvers_improve_inpainting():
     cfg = NnrConfig(max_iter=100, max_outer=4, max_inner=25, tau_sigma=0.0,
                     epsilon=prob.noise_norm)
     flex = flexible_nnrp(prob.op, prob.b, NnrConfig(max_iter=100),
-                         inner="fgk", variant="basis-v",
+                         gkb=True, from_basis=True,
                          x_exact=prob.x_exact)
-    irn = irn_nnrp(prob.op, prob.b, cfg, inner="gkb", x_exact=prob.x_exact)
+    irn = irn_nnrp(prob.op, prob.b, cfg, gkb=True, x_exact=prob.x_exact)
     assert flex.min_rel_error < base.min_rel_error
     assert irn.min_rel_error < base.min_rel_error
     _pass(10, f"inpainting: flexible {flex.min_rel_error:.4f} and "

@@ -125,6 +125,19 @@ class TestValidation:
         validate_config({"problem": problem,
                          "solvers": [dict(spec, use_discrepancy=True)]})
 
+    def test_secant_rule_needs_discrepancy_level(self):
+        # epsilon = 0 leaves the secant rule nothing to aim at
+        spec = {"name": "irn-lsqr-nnrp", "lambda_rule": "secant"}
+        problem = {"type": "star", "n": 16}
+        for level in ({"use_noise_norm": False}, {"epsilon": 0.0},
+                      {"epsilon": 0.0, "use_noise_norm": True}):
+            with pytest.raises(ConfigError, match="discrepancy level"):
+                validate_config({"problem": problem,
+                                 "solvers": [dict(spec, **level)]})
+        for level in ({}, {"epsilon": 0.1, "use_noise_norm": False}):
+            validate_config({"problem": problem,
+                             "solvers": [dict(spec, **level)]})
+
     @pytest.mark.parametrize("name", ["rs-lr-gmres", "svt"])
     @pytest.mark.parametrize("rule", ["fixed", "secant", "optimal"])
     def test_lambda_rule_rejected_for_solvers_without_lambda(self, name,
@@ -195,6 +208,19 @@ class TestExitCodes:
         cfg = base_config()
         cfg["solvers"] = [{"name": "lsqr", "max_iter": 3,
                            "lambda_rule": "secant"}]
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, rules in cli.LAMBDA_RULES.items() if "secant" in rules))
+    def test_secant_without_discrepancy_level_is_exit_1(self, tmp_path,
+                                                        name):
+        cfg = base_config()
+        cfg["solvers"] = [{"name": name, "max_iter": 3, "kappa": 2,
+                           "kappa_B": 2, "lambda_rule": "secant",
+                           "use_discrepancy": True, "use_noise_norm": False}]
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
         assert cli.run(path, out_dir=str(out)) == 1

@@ -222,6 +222,17 @@ class TestGmresLsqr:
         assert rep.stop_reason == "discrepancy"
         assert rep.residuals[-1] <= 1.01 * prob.noise_norm
 
+    @pytest.mark.parametrize("fn", [gmres, lsqr])
+    def test_secant_rule_needs_a_stop(self, fn):
+        # without a discrepancy stop the secant rule would stay at lambda 0
+        with pytest.raises(ValueError, match="secant"):
+            fn(identity_operator(4), np.ones(16), 3, lambda_rule="secant")
+
+    @pytest.mark.parametrize("fn", [gmres, lsqr])
+    def test_optimal_rule_needs_the_exact_solution(self, fn):
+        with pytest.raises(ValueError, match="optimal"):
+            fn(identity_operator(4), np.ones(16), 3, lambda_rule="optimal")
+
 
 class TestTruncatedSolvers:
     def test_rs_lr_gmres_full_rank_matches_gmres(self):
@@ -245,6 +256,13 @@ class TestTruncatedSolvers:
         rep = rs_lr_gmres(prob.op, prob.b, 4, 2, 3, x_exact=prob.x_exact)
         assert max(rep.outer_indices) == 2
         assert rep.iterations == list(range(1, len(rep.iterations) + 1))
+
+    def test_rs_lr_gmres_records_a_rejected_step_once(self):
+        # A = I adds no direction to the basis, so each cycle rejects its
+        # first step; it is recorded once and the cycle restarts
+        rep = rs_lr_gmres(identity_operator(4), np.arange(16.0), 5, 1, 2)
+        assert rep.iterations == [1, 2]
+        assert rep.outer_indices == [0, 1]
 
     @pytest.mark.parametrize("fn,base", [(lr_fgmres, gmres),
                                          (lr_flsqr, lsqr)])
@@ -278,14 +296,14 @@ def _identity_runs():
         "lsqr": lambda: lsqr(op, b, 5),
         "lr-fgmres": lambda: lr_fgmres(op, b, 4, 4, 5),
         "lr-flsqr": lambda: lr_flsqr(op, b, 4, 4, 5),
-        "irn-gmres-nnrp": lambda: nnr.irn_nnrp(op, b, cfg, inner="arnoldi"),
-        "irn-lsqr-nnrp": lambda: nnr.irn_nnrp(op, b, cfg, inner="gkb"),
+        "irn-gmres-nnrp": lambda: nnr.irn_nnrp(op, b, cfg, gkb=False),
+        "irn-lsqr-nnrp": lambda: nnr.irn_nnrp(op, b, cfg, gkb=True),
     }
-    for inner, family in (("farnoldi", "fgmres"), ("fgk", "flsqr")):
-        for variant, suffix in (("iterate", ""), ("basis-v", "-v")):
+    for gkb, family in ((False, "fgmres"), (True, "flsqr")):
+        for from_basis, suffix in ((False, ""), (True, "-v")):
             runs[f"{family}-nnrp{suffix}"] = (
-                lambda inner=inner, variant=variant: nnr.flexible_nnrp(
-                    op, b, cfg, inner=inner, variant=variant))
+                lambda gkb=gkb, from_basis=from_basis: nnr.flexible_nnrp(
+                    op, b, cfg, gkb=gkb, from_basis=from_basis))
     return runs
 
 

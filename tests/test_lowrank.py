@@ -219,7 +219,7 @@ class TestBasisVariantReweighter:
         rng = np.random.default_rng(16)
         v = rng.standard_normal(25)
         for p in (1.0, 0.75):
-            rw = build_reweighter_from_basis(v, p, 1e-2)
+            rw = build_reweighter_from_basis(v, p)
             f = svd(unvec(v, 5))
             want = vec((f.U * f.sigma ** (1.5 - p / 4)) @ f.V.T)
             assert np.allclose(precondition(rw, v, -1), want, atol=1e-10)
@@ -228,16 +228,16 @@ class TestBasisVariantReweighter:
 
     def test_rank_one_stays_parallel(self):
         v = vec(np.outer([1.0, -2.0, 0.5], [0.3, 1.0, 2.0]))
-        rw = build_reweighter_from_basis(v, 1.0, 1e-2)
+        rw = build_reweighter_from_basis(v, 1.0)
         out = precondition(rw, v, -2)
         cos = v @ out / (np.linalg.norm(v) * np.linalg.norm(out))
         assert abs(abs(cos) - 1) <= 1e-12
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            build_reweighter_from_basis(np.zeros(16), 1.0, 1e-2)
+            build_reweighter_from_basis(np.zeros(16), 1.0)
 
     def test_inverse_weights_finite_for_singular_input(self):
         v = vec(np.outer([1.0, 0.0], [1.0, 0.0]))
-        rw = build_reweighter_from_basis(v, 1.0, 1e-2)
+        rw = build_reweighter_from_basis(v, 1.0)
         assert np.all(np.isfinite(rw.inv_weights))

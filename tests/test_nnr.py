@@ -121,7 +121,8 @@ class TestReweightedSolve:
         S = np.kron(rw.V.T, rw.U.T)
         W = np.diag(np.tile(1.0 / rw.inv_weights, n))
         x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
-        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n, inner=inner)
+        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n,
+                                          gkb=inner == "gkb")
         assert np.linalg.norm(x - x_oracle) <= 1e-6 * np.linalg.norm(x_oracle)
 
     @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
@@ -134,7 +135,8 @@ class TestReweightedSolve:
         rw = identity_reweighter(n)
         lam = 0.05
         want = np.linalg.solve(A.T @ A + lam * np.eye(n * n), A.T @ b)
-        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n, inner=inner)
+        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n,
+                                          gkb=inner == "gkb")
         assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
@@ -144,7 +146,7 @@ class TestReweightedSolve:
         op = from_dense(rng.standard_normal((n * n, n * n)), n)
         rw = build_reweighter(rng.standard_normal((n, n)), 1.0, 1e-2)
         b = rng.standard_normal(n * n)
-        wop, b0 = nnr._reweighted_operator(op, rw, inner, b)
+        wop, b0 = nnr._reweighted_operator(op, rw, inner == "gkb", b)
         A_hat = wop.to_dense()
         adj = np.column_stack([wop.rmatvec(e) for e in np.eye(n * n)])
         assert np.linalg.norm(adj - A_hat.T) <= 1e-10 * np.linalg.norm(A_hat)
@@ -164,7 +166,7 @@ class TestReweightedSolve:
         rw = build_reweighter(unvec(prob.x_exact + 0.01, 16), 1.0, 1e-2)
         reps = [SolveReport(), SolveReport()]
         xs = [reweighted_krylov_solve(prob.op, prob.b, rw, rule, 8,
-                                      inner=inner, report=rep,
+                                      gkb=inner == "gkb", report=rep,
                                       x_exact=prob.x_exact)[0]
               for rule, rep in zip(
                   (given, krylov._LambdaRule(kind, value)), reps)]
@@ -186,7 +188,7 @@ class TestReweightedSolve:
         SolveReport.record = spy
         try:
             reweighted_krylov_solve(prob.op, prob.b, rw, 0.0, 10,
-                                    inner="arnoldi", report=rep)
+                                    gkb=False, report=rep)
         finally:
             SolveReport.record = orig
         for x, resid in xs:
@@ -207,11 +209,11 @@ class TestIrnSolvers:
 
     @pytest.mark.parametrize("inner,base", [("arnoldi", krylov.gmres),
                                             ("gkb", krylov.lsqr)])
-    def test_identity_preconditioner_degenerates(self, inner, base):
+    def test_identity_preconditioner_degenerates(self, inner, base,
+                                                 identity_reweighting):
         prob = star_problem(16, noise_level=1e-3, seed=3)
-        cfg = NnrConfig(max_outer=1, max_inner=10,
-                        identity_preconditioner=True)
-        rep_irn = irn_nnrp(prob.op, prob.b, cfg, inner=inner,
+        cfg = NnrConfig(max_outer=1, max_inner=10)
+        rep_irn = irn_nnrp(prob.op, prob.b, cfg, gkb=inner == "gkb",
                            x_exact=prob.x_exact)
         rep = base(prob.op, prob.b, 10, x_exact=prob.x_exact)
         assert np.linalg.norm(rep_irn.final_x - rep.final_x) <= \
@@ -220,7 +222,7 @@ class TestIrnSolvers:
     def test_outer_cycles_rerun_from_zero(self):
         prob = star_problem(16, noise_level=1e-3, seed=4)
         cfg = NnrConfig(max_outer=3, max_inner=5, tau_sigma=0.0)
-        rep = irn_nnrp(prob.op, prob.b, cfg, inner="gkb",
+        rep = irn_nnrp(prob.op, prob.b, cfg, gkb=True,
                        x_exact=prob.x_exact)
         assert sorted(set(rep.outer_indices)) == [0, 1, 2]
         assert len(rep.spectra) == 3
@@ -229,7 +231,7 @@ class TestIrnSolvers:
     def test_spectrum_stop(self):
         prob = star_problem(16, noise_level=1e-3, seed=5)
         cfg = NnrConfig(max_outer=6, max_inner=8, tau_sigma=10.0)
-        rep = irn_nnrp(prob.op, prob.b, cfg, inner="gkb",
+        rep = irn_nnrp(prob.op, prob.b, cfg, gkb=True,
                        x_exact=prob.x_exact)
         assert rep.stop_reason == "singular_values"
         assert max(rep.outer_indices) == 1
@@ -238,7 +240,7 @@ class TestIrnSolvers:
         prob = star_problem(16, noise_level=1e-2, seed=6)
         cfg = NnrConfig(max_outer=2, max_inner=40, tau_sigma=0.0,
                         epsilon=prob.noise_norm)
-        rep = irn_nnrp(prob.op, prob.b, cfg, inner="gkb",
+        rep = irn_nnrp(prob.op, prob.b, cfg, gkb=True,
                        x_exact=prob.x_exact)
         first_cycle = [r for r, o in zip(rep.residuals, rep.outer_indices)
                        if o == 0]
@@ -249,10 +251,11 @@ class TestIrnSolvers:
 class TestFlexibleSolvers:
     @pytest.mark.parametrize("inner,base", [("farnoldi", krylov.gmres),
                                             ("fgk", krylov.lsqr)])
-    def test_identity_preconditioner_degenerates(self, inner, base):
+    def test_identity_preconditioner_degenerates(self, inner, base,
+                                                 identity_reweighting):
         prob = star_problem(16, noise_level=1e-3, seed=7)
-        cfg = NnrConfig(max_iter=10, identity_preconditioner=True)
-        rep_f = flexible_nnrp(prob.op, prob.b, cfg, inner=inner,
+        cfg = NnrConfig(max_iter=10)
+        rep_f = flexible_nnrp(prob.op, prob.b, cfg, gkb=inner == "fgk",
                               x_exact=prob.x_exact)
         rep = base(prob.op, prob.b, 10, x_exact=prob.x_exact)
         assert np.linalg.norm(rep_f.final_x - rep.final_x) <= \
@@ -263,7 +266,7 @@ class TestFlexibleSolvers:
         # W_0 = S_0 = I, so step one of the flexible loop is standard
         prob = star_problem(16, noise_level=1e-3, seed=8)
         cfg = NnrConfig(max_iter=1)
-        rep_f = flexible_nnrp(prob.op, prob.b, cfg, inner=inner,
+        rep_f = flexible_nnrp(prob.op, prob.b, cfg, gkb=inner == "fgk",
                               x_exact=prob.x_exact)
         base = krylov.gmres if inner == "farnoldi" else krylov.lsqr
         rep = base(prob.op, prob.b, 1, x_exact=prob.x_exact)
@@ -272,18 +275,16 @@ class TestFlexibleSolvers:
     def test_variant_names(self):
         prob = star_problem(16, noise_level=1e-3, seed=9)
         cfg = NnrConfig(max_iter=3)
-        assert flexible_nnrp(prob.op, prob.b, cfg, inner="fgk",
-                             variant="basis-v").solver == "flsqr-nnrp-v"
-        assert flexible_nnrp(prob.op, prob.b, cfg, inner="farnoldi",
-                             variant="iterate").solver == "fgmres-nnrp"
-        with pytest.raises(ValueError):
-            flexible_nnrp(prob.op, prob.b, cfg, variant="other")
+        assert flexible_nnrp(prob.op, prob.b, cfg, gkb=True,
+                             from_basis=True).solver == "flsqr-nnrp-v"
+        assert flexible_nnrp(prob.op, prob.b, cfg, gkb=False,
+                             from_basis=False).solver == "fgmres-nnrp"
 
     def test_basis_variant_runs_and_improves(self):
         prob = star_problem(32, noise_level=1e-3, seed=10)
         cfg = NnrConfig(max_iter=30)
-        rep = flexible_nnrp(prob.op, prob.b, cfg, inner="fgk",
-                            variant="basis-v", x_exact=prob.x_exact)
+        rep = flexible_nnrp(prob.op, prob.b, cfg, gkb=True,
+                            from_basis=True, x_exact=prob.x_exact)
         assert rep.min_rel_error < rep.rel_errors[0]
 
 

@@ -4,12 +4,9 @@ import pytest
 from lrkrylov.linops import unvec
 from lrkrylov.lowrank import svd
 from lrkrylov.problems import (
-    export_problem,
     inpainting_problem,
-    normalized_spectrum,
     phantom_problem,
     read_pgm,
-    relative_error,
     star_problem,
     write_pgm,
 )
@@ -136,25 +133,6 @@ class TestInpainting:
             inpainting_problem(str(path), n=32)
 
 
-class TestMetrics:
-    def test_relative_error_examples(self):
-        assert relative_error([1.0, 0.0], [1.0, 0.0]) == 0.0
-        assert np.isclose(relative_error([2.0, 0.0], [1.0, 0.0]), 1.0)
-
-    def test_relative_error_validation(self):
-        with pytest.raises(ValueError):
-            relative_error([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            relative_error([1.0, 0.0], [0.0, 0.0])
-
-    def test_normalized_spectrum(self):
-        x = np.zeros(16)
-        x[0], x[5] = 3.0, 1.5  # diag entries of unvec
-        s = normalized_spectrum(x)
-        assert np.isclose(s[0], 1.0) and np.isclose(s[1], 0.5)
-        assert normalized_spectrum(x, drop_below=0.6).size == 1
-
-
 class TestPgm:
     def test_round_trip(self, tmp_path):
         X = np.random.default_rng(0).random((12, 17))
@@ -176,11 +154,3 @@ class TestPgm:
         path.write_bytes(b"P6\n1 1\n255\n\x00")
         with pytest.raises(ValueError):
             read_pgm(path)
-
-
-def test_export_problem(tmp_path):
-    prob = star_problem(16, seed=0)
-    export_problem(prob, tmp_path / "out", params={"n": 16})
-    assert (tmp_path / "out" / "problem.json").exists()
-    b = np.loadtxt(tmp_path / "out" / "b.txt")
-    assert np.array_equal(b, prob.b)
