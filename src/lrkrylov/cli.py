@@ -78,10 +78,10 @@ def build_problem(spec, seed_override=None):
     raise ConfigError(f"problem.type: unknown problem type {kind!r}")
 
 
-def _nnr_config(spec, problem):
+def _nnr_config(spec, noise_norm):
     epsilon = spec.get("epsilon")
     if epsilon is None and spec.get("use_noise_norm", True):
-        epsilon = problem.noise_norm
+        epsilon = noise_norm
     kwargs = {k: spec[k] for k in (
         "p", "gamma0", "gamma_decay", "gamma_min", "lambda_rule",
         "lambda_value", "theta", "max_outer", "max_inner", "max_iter",
@@ -92,30 +92,36 @@ def _nnr_config(spec, problem):
         raise ConfigError(f"solver config: {exc}") from exc
 
 
+def _check_config(spec, noise_norm):
+    """Reject a solver config that would fail at this noise norm."""
+    cfg = _nnr_config(spec, noise_norm)
+    if cfg.lambda_rule == "secant" and cfg.stop() is None:
+        raise ConfigError(f"solver {spec['name']}: lambda_rule 'secant' "
+                          "needs a discrepancy level, a positive "
+                          "\"epsilon\" or the noise norm of noisy data")
+
+
 def run_solver(spec, problem):
     name = spec["name"]
-    x_exact = problem.x_exact
-    op, b = problem.op, problem.b
-    max_iter = int(spec.get("max_iter", 100))
-    cfg = _nnr_config(spec, problem)
+    op, b, x_exact = problem.op, problem.b, problem.x_exact
+    cfg = _nnr_config(spec, problem.noise_norm)
     stop = cfg.stop() if spec.get("use_discrepancy", False) else None
-    lam_rule = cfg.lambda_rule if cfg.lambda_rule != "zero" else None
-    if lam_rule == "fixed":
-        lam_rule = cfg.lambda_value
+    if name in DISCREPANCY_BY_FLAG:  # the solvers that take a rule here
+        rule = krylov._LambdaRule(cfg.lambda_rule, cfg.lambda_value, stop)
     if name == "gmres":
-        return krylov.gmres(op, b, max_iter, stop, lam_rule, x_exact)
+        return krylov.gmres(op, b, cfg.max_iter, stop, rule, x_exact)
     if name == "lsqr":
-        return krylov.lsqr(op, b, max_iter, stop, lam_rule, x_exact)
+        return krylov.lsqr(op, b, cfg.max_iter, stop, rule, x_exact)
     if name == "rs-lr-gmres":
         return krylov.rs_lr_gmres(
-            op, b, int(spec.get("restart_len", 40)),
-            int(spec.get("truncation_rank", _DEFAULT_RANK)),
-            int(spec.get("max_outer", 5)), stop, x_exact)
+            op, b, spec.get("restart_len", 40),
+            spec.get("truncation_rank", _DEFAULT_RANK),
+            spec.get("max_outer", 5), stop, x_exact)
     if name in ("lr-fgmres", "lr-flsqr"):
         fn = krylov.lr_fgmres if name == "lr-fgmres" else krylov.lr_flsqr
-        return fn(op, b, int(spec.get("kappa_B", _DEFAULT_RANK)),
-                  int(spec.get("kappa", _DEFAULT_RANK)), max_iter, stop,
-                  lam_rule, x_exact)
+        return fn(op, b, spec.get("kappa_B", _DEFAULT_RANK),
+                  spec.get("kappa", _DEFAULT_RANK), cfg.max_iter, stop,
+                  rule, x_exact)
     if name in ("irn-gmres-nnrp", "irn-lsqr-nnrp"):
         return nnr.irn_nnrp(op, b, cfg, gkb=name == "irn-lsqr-nnrp",
                             x_exact=x_exact)
@@ -125,7 +131,7 @@ def run_solver(spec, problem):
                                  x_exact=x_exact)
     if name == "svt":
         return nnr.svt(op, b, float(spec.get("tau", 1.0)),
-                       float(spec.get("delta", 2.0)), max_iter,
+                       float(spec.get("delta", 2.0)), cfg.max_iter,
                        stop, x_exact)
     raise ConfigError(f"solver.name: unknown solver {name!r}")
 
@@ -176,13 +182,16 @@ def _validate_solver(spec, problem):
             and not spec.get("use_discrepancy", False)):
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
                           "discrepancy stop, \"use_discrepancy\": true")
-    eps = spec.get("epsilon")
-    if eps is None:  # True stands for the noise norm
-        eps = bool(spec.get("use_noise_norm", True))
-    if rule == "secant" and not (isinstance(eps, (int, float)) and eps > 0):
-        raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
-                          "discrepancy level, a positive \"epsilon\" or "
-                          "\"use_noise_norm\": true")
+    _check_config(spec, 1.0)  # a stand-in until b gives the noise norm
+    for key in ("tau", "delta") if name == "svt" else ():
+        value = spec.get(key, 1.0)
+        if not (isinstance(value, (int, float)) and value > 0):
+            raise ConfigError(f"solver svt: {key} must be positive, "
+                              f"got {value!r}")
+    restart = spec.get("restart_len", 40) if name == "rs-lr-gmres" else 1
+    if not (isinstance(restart, int) and restart >= 1):
+        raise ConfigError(f"solver {name}: restart_len must be an integer "
+                          f">= 1, got {restart!r}")
     n = problem.get("n")
     if n is None and kind == "inpainting":
         n = inspect.signature(
@@ -219,24 +228,22 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
     try:
         config = json.loads(Path(config_path).read_text())
         validate_config(config)
+        if validate_only:
+            print(json.dumps(config, indent=2))
+            return 0
+        problem = build_problem(config["problem"], seed_override)
+        if not np.all(np.isfinite(problem.b)):
+            raise ConfigError("problem: the data b has non-finite entries")
+        for spec in config["solvers"]:
+            _check_config(spec, problem.noise_norm)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if validate_only:
-        print(json.dumps(config, indent=2))
-        return 0
     outdir = Path(out_dir or config.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     emit_images = bool(config.get("emit_images", True))
     emit_spectra = bool(config.get("emit_spectra", True))
     cross_check = bool(config.get("cross_check_residuals", False))
-    try:
-        problem = build_problem(config["problem"], seed_override)
-        if not np.all(np.isfinite(problem.b)):
-            raise ConfigError("problem: the data b has non-finite entries")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
     def job(spec):
         name = spec["name"]
@@ -260,13 +267,8 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
         }
 
     max_workers = max(int(os.environ.get("LRK_THREADS", "1")), 1)
-    specs = config["solvers"]
-    if max_workers == 1:
-        results = [job(s) for s in specs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            results = list(pool.map(job, specs))
-    summary = dict(results)
+    with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
+        summary = dict(pool.map(job, config["solvers"]))
     failed = any(entry.get("status") == "failed" for entry in summary.values())
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2))
     return 2 if failed else 0

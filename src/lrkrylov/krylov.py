@@ -3,8 +3,10 @@ Tikhonov solves with their regularization-parameter rules, the hybrid
 projection loop every Arnoldi/GKB solver runs, and the solvers of this
 module: GMRES, LSQR, RS-LR-GMRES, LR-FGMRES, LR-FLSQR.
 
-Each new basis vector is orthogonalized by block classical Gram-Schmidt
-applied twice (CGS2), four matrix-vector products against the whole basis.
+An Arnoldi step and each half of a Golub-Kahan step are one half-step,
+``_extend``: orthogonalize by block classical Gram-Schmidt applied twice
+(CGS2, four products with the whole basis), write the coefficients into
+the projected matrix, then append the new vector or report breakdown.
 Bases are dense column-major (Fortran-order) arrays that start 16 columns
 wide and double their width when full, so a step appends a column in
 place and ``V_mat()`` and friends are views, not copies (desk scale,
@@ -84,14 +86,30 @@ def _first_column(b):
     return beta, Q
 
 
-def _store_z(state, k, z, flexible):
-    """Keep z as column k of Z.  Until its first preconditioned step a state
-    has no Z array of its own, since there Z_k = V_k."""
-    if flexible and state.Z is None:
-        state.Z = state.V.copy(order="F")
-    if state.Z is not None:
-        state.Z = _room(state.Z, k + 1)
-        state.Z[:, k] = z
+def _preconditioned(state, v, precondition):
+    """z = precondition(v), kept as column k of Z; a standard run
+    (``precondition`` None) keeps no Z, since there Z_k = V_k."""
+    if precondition is None:
+        return v
+    z = precondition(v)
+    state.Z = _room(_zeros(v.size) if state.Z is None else state.Z,
+                    state.k + 1)
+    state.Z[:, state.k] = z
+    return z
+
+
+def _extend(w, Q, P, k):
+    """The half-step every factorization shares: orthogonalize w against
+    the columns of Q, write the coefficients h and then ||w|| into column
+    k of P, and return w / ||w||; None on breakdown, when ||w|| <=
+    _BREAKDOWN_REL max(max |h|, 1) (the max of an empty h is 0)."""
+    w, h = _orthogonalize(w, Q)
+    norm = np.linalg.norm(w)
+    P[: h.size, k] = h
+    P[h.size, k] = norm
+    if norm <= _BREAKDOWN_REL * max(np.abs(h).max(initial=0.0), 1.0):
+        return None
+    return w / norm
 
 
 @dataclass
@@ -135,19 +153,12 @@ def arnoldi_step(state, op, precondition=None):
     k = state.k
     state.V = _room(state.V, k + 2)
     state.H = _room(state.H, k + 1, k + 2)
-    v = state.V[:, k]
-    z = precondition(v) if precondition is not None else v
-    w = op.matvec(z)
-    w, h = _orthogonalize(w, state.V[:, : k + 1])
-    hnorm = np.linalg.norm(w)
-    _store_z(state, k, z, precondition is not None)
-    state.H[: k + 1, k] = h
-    state.H[k + 1, k] = hnorm
+    z = _preconditioned(state, state.V[:, k], precondition)
+    v = _extend(op.matvec(z), state.V[:, : k + 1], state.H, k)
     state.k = k + 1
-    if hnorm <= _BREAKDOWN_REL * max(np.abs(h).max(), 1.0):
-        state.breakdown = True
-    else:
-        state.V[:, k + 1] = w / hnorm
+    state.breakdown = v is None
+    if v is not None:
+        state.V[:, k + 1] = v
     return state
 
 
@@ -200,28 +211,17 @@ def gkb_step(state, op, precondition=None):
     state.V = _room(state.V, k + 1)
     state.M = _room(state.M, k + 1, k + 2)
     state.T = _room(state.T, k + 1, k + 1)
-    w = op.rmatvec(state.U[:, k])
-    w, t = _orthogonalize(w, state.V[:, :k])
-    tnorm = np.linalg.norm(w)
-    if tnorm <= _BREAKDOWN_REL * max(np.abs(t).max() if k else 0.0, 1.0):
+    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k)
+    if v is None:
         state.breakdown = True
         return state
-    state.V[:, k] = w / tnorm
-    v = state.V[:, k]
-    state.T[:k, k] = t
-    state.T[k, k] = tnorm
-    z = precondition(v) if precondition is not None else v
-    w = op.matvec(z)
-    w, m = _orthogonalize(w, state.U[:, : k + 1])
-    mnorm = np.linalg.norm(w)
-    _store_z(state, k, z, precondition is not None)
-    state.M[: k + 1, k] = m
-    state.M[k + 1, k] = mnorm
+    state.V[:, k] = v
+    z = _preconditioned(state, state.V[:, k], precondition)
+    u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k)
     state.k = k + 1
-    if mnorm <= _BREAKDOWN_REL * max(np.abs(m).max(), 1.0):
-        state.breakdown = True
-    else:
-        state.U[:, k + 1] = w / mnorm
+    state.breakdown = u is None
+    if u is not None:
+        state.U[:, k + 1] = u
         state.u = k + 2
     return state
 
@@ -386,15 +386,14 @@ def _make_rule(lambda_rule, stop):
 
 
 def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
-           solution=None, x_target=None, x_exact=None, outer=0, offset=0,
-           after=None):
+           solution=None, x_target=None, x_exact=None, outer=0, after=None):
     """The hybrid projection loop of every Arnoldi/GKB solver.
 
     Step k expands the (flexible when ``precondition`` is given) Arnoldi
     or Golub-Kahan factorization of ``op`` from ``b``, solves the projected
     Tikhonov problem with ``rule`` (the optimal rule aims at V_k^T
-    ``x_target``), maps Z_k y through ``solution``, records the iterate as
-    iteration ``offset + k`` of cycle ``outer`` and tests the stops; then
+    ``x_target``), maps Z_k y through ``solution``, records the iterate in
+    cycle ``outer`` of ``report`` and tests the stops; then
     ``after(x)`` runs.  Returns (x, projected residual, stop reason).
     """
     if rule.kind == "optimal" and x_target is None:
@@ -416,7 +415,7 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
         if solution is not None:
             x = solution(x)
         if report is not None:
-            report.record(offset + it, outer, x, resid, lam, x_exact)
+            report.record(outer, x, resid, lam, x_exact)
         if stop is not None and stop.satisfied(resid):
             reason = "discrepancy"
             break
@@ -482,7 +481,6 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
     n = op.image_side
     x = np.zeros(op.cols)
     report = SolveReport(solver="rs-lr-gmres")
-    it = 0
     for outer in range(max_outer):
         r = b - op.matvec(x)
         rnorm = np.linalg.norm(r)
@@ -493,9 +491,7 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
         V[:, 0] = r / rnorm
         AV[:, 0] = op.matvec(V[:, 0])
         m = 1
-        stopped = False
         for _ in range(restart_len):
-            it += 1
             u = AV[:, m - 1]
             Vm = V[:, :m]
             wt = truncate(u - Vm @ _gram_solve(Vm, u), truncation_rank)
@@ -510,15 +506,14 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
             y = _gram_solve(AV[:, :m], r)
             xt = truncate(x + V[:, :m] @ y, truncation_rank)
             resid = np.linalg.norm(b - op.matvec(xt))
-            report.record(it, outer, xt, resid, 0.0, x_exact)
+            report.record(outer, xt, resid, 0.0, x_exact)
             if stop is not None and stop.satisfied(resid):
                 report.stop_reason = "discrepancy"
-                stopped = True
                 break
             if not grown:
                 break  # the next step would repeat this one: restart
         x = report.final_x
-        if stopped:
+        if report.stop_reason == "discrepancy":
             break
     report.add_best_spectrum(n)
     return report

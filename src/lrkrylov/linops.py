@@ -159,8 +159,9 @@ def gaussian_blur_operator(n, sigma, bandwidth):
 def shaking_blur_operator(n, n_steps=8, seed=0):
     """Motion-style blur averaging shifted copies along a random walk.
 
-    Each shift by (di, dj) acts as S_r @ X @ S_c.T with zero boundary,
-    so the operator stays a cheap sum of two-sided products.
+    A shift by (di, dj) moves X[i, j] to (i + di, j + dj) with zero
+    boundary, one slice added per step of the walk; the adjoint shifts by
+    (-di, -dj).
     """
     rng = np.random.default_rng(seed)
     di, dj = 0, 0
@@ -169,41 +170,23 @@ def shaking_blur_operator(n, n_steps=8, seed=0):
         di += int(rng.integers(-1, 2))
         dj += int(rng.integers(-1, 2))
         trajectory.append((di, dj))
-
-    def shift(M, d, axis):
-        out = np.zeros_like(M)
-        if d == 0:
-            out[:] = M
-        elif d > 0:
-            if axis == 0:
-                out[d:, :] = M[:-d, :]
-            else:
-                out[:, d:] = M[:, :-d]
-        else:
-            if axis == 0:
-                out[:d, :] = M[-d:, :]
-            else:
-                out[:, :d] = M[:, -d:]
-        return out
-
     w = 1.0 / len(trajectory)
 
-    def apply(x, n=n):
-        X = unvec(x, n)
+    def span(d):
+        """(target, source) slices of a shift by d along one axis."""
+        return (slice(max(d, 0), max(n + d, 0)),
+                slice(max(-d, 0), max(n - d, 0)))
+
+    def shifted_sum(X, sign):
         out = np.zeros_like(X)
         for di, dj in trajectory:
-            out += shift(shift(X, di, 0), dj, 1)
-        return vec(w * out)
-
-    def apply_adjoint(y, n=n):
-        Y = unvec(y, n)
-        out = np.zeros_like(Y)
-        for di, dj in trajectory:
-            out += shift(shift(Y, -di, 0), -dj, 1)
+            (ti, si), (tj, sj) = span(sign * di), span(sign * dj)
+            out[ti, tj] += X[si, sj]
         return vec(w * out)
 
     N = n * n
-    return LinearOperator(N, N, n, apply, apply_adjoint)
+    return LinearOperator(N, N, n, lambda x: shifted_sum(unvec(x, n), 1),
+                          lambda y: shifted_sum(unvec(y, n), -1))
 
 
 def tomography_operator(n, angles, detector_count):

@@ -8,6 +8,7 @@ hybrid loop of ``krylov``.  The SVT baseline and the outer spectrum stop
 live here too.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,11 @@ class NnrConfig:
 
     gamma follows the geometric schedule gamma_{k+1} = max(gamma_k /
     gamma_decay, gamma_min), applied per outer cycle (IRN) or per
-    iteration (flexible).  ``epsilon`` > 0 turns on the discrepancy stop,
-    which the secant rule needs.  The solvers take the Krylov process
-    (``gkb``) and the reweighting source (``from_basis``) as arguments.
+    iteration (flexible, iterate-reweighted only: the "-v" variants build
+    their weights from the basis vector alone and take no gamma).
+    ``epsilon`` > 0 turns on the discrepancy stop, which the secant rule
+    needs.  The solvers take the Krylov process (``gkb``) and the
+    reweighting source (``from_basis``) as arguments.
     """
 
     p: float = 1.0
@@ -66,10 +69,17 @@ class NnrConfig:
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0, 1]")
-        if self.theta <= 1:
+        if not self.theta > 1:
             raise ValueError("theta must be > 1")
-        if min(self.max_outer, self.max_inner, self.max_iter) < 1:
-            raise ValueError("iteration counts must be >= 1")
+        counts = (self.max_outer, self.max_inner, self.max_iter)
+        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+            raise ValueError("iteration counts must be integers >= 1, "
+                             f"got {counts}")
+        if not (self.epsilon >= 0 and self.lambda_value >= 0
+                and self.gamma0 > 0 and self.gamma_min > 0
+                and self.gamma_decay > 0):  # written so that NaN fails
+            raise ValueError("epsilon and lambda_value must be nonnegative, "
+                             "gamma0, gamma_min and gamma_decay positive")
 
     def stop(self):
         if self.epsilon > 0:
@@ -109,7 +119,7 @@ def _reweighted_operator(op, rw, gkb, b):
 
 def reweighted_krylov_solve(op, b, reweighter, lambda_rule, n_steps,
                             gkb=True, stop=None, report=None, outer=0,
-                            iteration_offset=0, x_exact=None):
+                            x_exact=None):
     """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair,
     by Golub-Kahan (``gkb``) or Arnoldi.
 
@@ -126,8 +136,7 @@ def reweighted_krylov_solve(op, b, reweighter, lambda_rule, n_steps,
         wop, b0, n_steps, rule, report, gkb, stop=stop,
         solution=lambda xh: apply_transform(reweighter, xh, "S_transpose",
                                             -1),
-        x_target=x_target, x_exact=x_exact, outer=outer,
-        offset=iteration_offset)
+        x_target=x_target, x_exact=x_exact, outer=outer)
 
 
 def irn_nnrp(op, b, config, gkb=True, x_exact=None):
@@ -147,15 +156,13 @@ def irn_nnrp(op, b, config, gkb=True, x_exact=None):
     stop = config.stop()
     report = SolveReport(solver=f"irn-{'lsqr' if gkb else 'gmres'}-nnrp")
     prev_spectrum = None
-    it = 0
     for k in range(config.max_outer):
         rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value,
                                   stop)
         x, _, reason = reweighted_krylov_solve(
             op, b, rw, rule, config.max_inner, gkb=gkb, stop=stop,
-            report=report, outer=k, iteration_offset=it, x_exact=x_exact,
+            report=report, outer=k, x_exact=x_exact,
         )
-        it = report.iterations[-1] if report.iterations else it
         X = unvec(x, n)
         spectrum = report.add_spectrum(k, svd(X).sigma)
         if prev_spectrum is not None and outer_stop_singular_values(
@@ -186,10 +193,8 @@ def flexible_nnrp(op, b, config, gkb=True, from_basis=False, x_exact=None):
     stop = config.stop()
 
     def precond(v):
-        nonlocal rw
-        if from_basis and np.any(v):
-            rw = build_reweighter_from_basis(v, config.p)
-        return precondition(rw, v, power)
+        source = build_reweighter_from_basis(v, config.p) if from_basis else rw
+        return precondition(source, v, power)
 
     def after(x):
         nonlocal gamma, rw
@@ -215,12 +220,12 @@ def svt(op, b, tau, delta, max_iter, stop=None, x_exact=None):
     n = op.image_side
     y = np.zeros(op.rows)
     report = SolveReport(solver="svt")
-    for it in range(1, max_iter + 1):
+    for step in deltas:
         x = vec(shrink(unvec(op.rmatvec(y), n), tau))
         resid_vec = b - op.matvec(x)
         resid = np.linalg.norm(resid_vec)
-        y = y + deltas[it - 1] * resid_vec
-        report.record(it, 0, x, resid, 0.0, x_exact)
+        y = y + step * resid_vec
+        report.record(0, x, resid, 0.0, x_exact)
         if stop is not None and stop.satisfied(resid):
             report.stop_reason = "discrepancy"
             break

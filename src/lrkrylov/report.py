@@ -50,8 +50,10 @@ class SolveReport:
     best_x: np.ndarray | None = None
     stop_reason: str = "max_iter"
 
-    def record(self, iteration, outer, x, residual, lam, x_exact=None):
-        self.iterations.append(iteration)
+    def record(self, outer, x, residual, lam, x_exact=None):
+        """Append iterate ``x`` of cycle ``outer`` as iteration len + 1, so
+        iterations run 1, 2, ... across every cycle of the run."""
+        self.iterations.append(len(self.iterations) + 1)
         self.outer_indices.append(outer)
         self.residuals.append(float(residual))
         self.lambdas.append(float(lam))
@@ -61,9 +63,8 @@ class SolveReport:
             err = np.nan
         self.rel_errors.append(float(err))
         self.final_x = x
-        if x_exact is not None and err == np.nanmin(self.rel_errors):
-            self.best_x = x
-        if self.best_x is None:
+        if self.best_x is None or (x_exact is not None
+                                   and err == np.nanmin(self.rel_errors)):
             self.best_x = x
 
     def add_spectrum(self, outer, sigma):
@@ -83,9 +84,9 @@ class SolveReport:
     def best(self):
         """(iteration, relative error) of the minimum recorded error."""
         if not self.rel_errors or np.all(np.isnan(self.rel_errors)):
-            return (self.iterations[-1] if self.iterations else 0, np.nan)
+            return (len(self.iterations), np.nan)
         idx = int(np.nanargmin(self.rel_errors))
-        return (self.iterations[idx], self.rel_errors[idx])
+        return (idx + 1, self.rel_errors[idx])
 
     @property
     def min_rel_error(self):

@@ -1,8 +1,10 @@
 """One SHA-256 per answer-fixture case, taken over the full solve report.
 
-Runs every case of ``test_answers.py`` and hashes its iterations, outer
-indices, residuals, lambdas, relative errors, ``final_x``, ``best_x``,
-spectra and stop reason, so that two checkouts can be compared bitwise:
+Runs every case of ``test_answers.py``, then every solver list of the
+benchmark workloads at warm-up size (``perfbench/workloads.warmup_config``),
+and hashes each report's iterations, outer indices, residuals, lambdas,
+relative errors, ``final_x``, ``best_x``, spectra and stop reason, so that
+two checkouts can be compared bitwise:
 
     PYTHONPATH=src python tests/fingerprint.py > after.txt
     diff before.txt after.txt    # before.txt: the same command on the parent
@@ -12,12 +14,16 @@ pytest does not collect this file.
 
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from test_answers import CASES, problem
 
 from lrkrylov import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _floats(values):
@@ -41,6 +47,12 @@ def main():
     for case in sorted(CASES):
         pname, spec = CASES[case]
         print(fingerprint(cli.run_solver(spec, problem(pname))), case)
+    for name in sorted(workloads.WORKLOADS):
+        cfg = workloads.warmup_config(name)
+        prob = cli.build_problem(cfg["problem"])
+        for spec in cfg["solvers"]:
+            print(fingerprint(cli.run_solver(spec, prob)),
+                  f"warmup/{name}/{spec['name']}")
     return 0
 
 

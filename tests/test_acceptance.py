@@ -54,9 +54,9 @@ def collect_iterates(solver_fn):
     captured = []
     orig = SolveReport.record
 
-    def spy(self, it, outer, x, resid, lam, x_exact=None):
+    def spy(self, outer, x, resid, lam, x_exact=None):
         captured.append((np.array(x), float(resid)))
-        orig(self, it, outer, x, resid, lam, x_exact)
+        orig(self, outer, x, resid, lam, x_exact)
 
     SolveReport.record = spy
     try:

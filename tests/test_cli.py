@@ -226,6 +226,44 @@ class TestExitCodes:
         assert cli.run(path, out_dir=str(out)) == 1
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"name": "lsqr", "max_iter": 0},
+        {"name": "lsqr", "max_iter": -3},
+        {"name": "lsqr", "max_iter": "ten"},
+        {"name": "lsqr", "max_iter": 2.7},
+        {"name": "irn-lsqr-nnrp", "max_inner": 0},
+        {"name": "irn-lsqr-nnrp", "p": 2.0},
+        {"name": "irn-lsqr-nnrp", "gamma_decay": 0},
+        {"name": "irn-lsqr-nnrp", "gamma0": 0, "gamma_min": 0},
+        {"name": "lsqr", "use_discrepancy": True, "epsilon": -1},
+        {"name": "gmres", "lambda_rule": "fixed", "lambda_value": -1},
+        {"name": "gmres", "lambda_rule": "fixed", "lambda_value": np.nan},
+        {"name": "lsqr", "use_discrepancy": True, "epsilon": np.nan},
+        {"name": "svt", "tau": 0},
+        {"name": "svt", "delta": -1},
+        {"name": "rs-lr-gmres", "restart_len": 0},
+    ], ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.items()))
+    def test_bad_solver_config_is_exit_1(self, tmp_path, spec):
+        cfg = base_config()
+        cfg["solvers"] = [dict({"max_iter": 3, "max_outer": 2,
+                                "max_inner": 3, "truncation_rank": 2},
+                               **spec)]
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+
+    def test_secant_on_noise_free_data_is_exit_1(self, tmp_path):
+        # the noise norm, and with it the discrepancy level, is 0
+        cfg = base_config(problem={"type": "star", "n": 16, "seed": 0,
+                                   "noise_level": 0.0})
+        cfg["solvers"] = [{"name": "gmres", "max_iter": 3,
+                           "lambda_rule": "secant", "use_discrepancy": True}]
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+
     def test_rank_above_image_side_is_exit_1(self, tmp_path):
         cfg = base_config()
         cfg["solvers"] = [{"name": "lr-flsqr", "kappa_B": 17, "kappa": 2,

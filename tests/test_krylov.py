@@ -321,7 +321,7 @@ def test_best_spectrum_of_single_loop_report():
     rep.add_best_spectrum(4)
     assert rep.spectra == []
     X = np.diag([4.0, 2.0, 1.0, 0.0])
-    rep.record(1, 0, X.ravel(), 1.0, 0.0)
+    rep.record(0, X.ravel(), 1.0, 0.0)
     rep.add_best_spectrum(4)
     (outer, sigma), = rep.spectra
     assert outer == 0

@@ -149,6 +149,32 @@ class TestInpainting:
                                 identity_operator(4))
 
 
+def _walk(n_steps, seed):
+    """The random walk of ``shaking_blur_operator``, drawn the same way."""
+    rng = np.random.default_rng(seed)
+    walk = [(0, 0)]
+    for _ in range(n_steps - 1):
+        di, dj = walk[-1]
+        walk.append((di + int(rng.integers(-1, 2)),
+                     dj + int(rng.integers(-1, 2))))
+    return walk
+
+
+# (n, steps, seed, largest |d| of the walk); walks with |d| >= n move
+# whole copies out of the image
+@pytest.mark.parametrize("n,n_steps,seed,reach", [
+    (4, 1, 0, 0), (4, 12, 2, 4), (4, 12, 9, 5), (8, 6, 4, 4),
+    (8, 12, 34, 8), (16, 8, 0, 3)])
+def test_shaking_blur_forward_values(n, n_steps, seed, reach):
+    # X[i, j] moves to (i + di, j + dj): vec(E_di X E_dj^T) with
+    # E_d = eye(n, k=-d), which is kron(E_dj, E_di) vec(X)
+    walk = _walk(n_steps, seed)
+    assert max(abs(d) for step in walk for d in step) == reach
+    A = sum(np.kron(np.eye(n, k=-dj), np.eye(n, k=-di)) for di, dj in walk)
+    got = shaking_blur_operator(n, n_steps, seed).to_dense()
+    assert np.allclose(got, A / len(walk), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("make_op", [
     lambda: gaussian_blur_operator(8, 1.0, 3),
     lambda: shaking_blur_operator(8, 6, seed=4),

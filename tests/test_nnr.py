@@ -181,9 +181,9 @@ class TestReweightedSolve:
         xs = []
         orig = SolveReport.record
 
-        def spy(self, it, outer, x, resid, lam, x_exact=None):
+        def spy(self, outer, x, resid, lam, x_exact=None):
             xs.append((np.array(x), resid))
-            orig(self, it, outer, x, resid, lam, x_exact)
+            orig(self, outer, x, resid, lam, x_exact)
 
         SolveReport.record = spy
         try:
