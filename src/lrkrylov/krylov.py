@@ -393,8 +393,8 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
     or Golub-Kahan factorization of ``op`` from ``b``, solves the projected
     Tikhonov problem with ``rule`` (the optimal rule aims at V_k^T
     ``x_target``), maps Z_k y through ``solution``, records the iterate in
-    cycle ``outer`` of ``report`` and tests the stops; then
-    ``after(x)`` runs.  Returns (x, projected residual, stop reason).
+    cycle ``outer`` of ``report`` and tests the stops; then, unless this
+    was the last step, ``after(x)`` runs.  Returns (x, projected residual, stop reason).
     """
     if rule.kind == "optimal" and x_target is None:
         raise ValueError("the optimal lambda rule needs the exact solution")
@@ -422,7 +422,7 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
         if state.breakdown:
             reason = "breakdown"
             break
-        if after is not None:
+        if after is not None and it < max_iter:
             after(x)
     return x, resid, reason
 

@@ -118,11 +118,11 @@ def identity_reweighter(n):
 
 
 def build_reweighter(Xk, p, gamma):
-    """Reweighter from the current iterate: inverse weights
-    (sigma_i^2 + gamma)^{1/2 - p/4}."""
+    """Reweighter from the current iterate, or from its ``svd`` when the
+    caller has it: inverse weights (sigma_i^2 + gamma)^{1/2 - p/4}."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    f = svd(np.asarray(Xk, dtype=float))
+    f = Xk if isinstance(Xk, SvdTriple) else svd(Xk)
     inv_w = (f.sigma**2 + gamma) ** (0.5 - p / 4.0)
     return Reweighter(f.U, f.V, inv_w)
 

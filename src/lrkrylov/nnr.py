@@ -163,16 +163,17 @@ def irn_nnrp(op, b, config, gkb=True, x_exact=None):
             op, b, rw, rule, config.max_inner, gkb=gkb, stop=stop,
             report=report, outer=k, x_exact=x_exact,
         )
-        X = unvec(x, n)
-        spectrum = report.add_spectrum(k, svd(X).sigma)
+        f = svd(unvec(x, n))  # one factorization: spectrum and weights
+        spectrum = report.add_spectrum(k, f.sigma)
         if prev_spectrum is not None and outer_stop_singular_values(
                 prev_spectrum, spectrum, config.tau_sigma):
             report.stop_reason = "singular_values"
             return report
         prev_spectrum = spectrum
-        gamma = max(gamma / config.gamma_decay, config.gamma_min)
-        rw = build_reweighter(X, config.p, gamma)
         report.stop_reason = reason if reason == "breakdown" else "max_outer"
+        if k + 1 < config.max_outer:  # no reweighter after the last cycle
+            gamma = max(gamma / config.gamma_decay, config.gamma_min)
+            rw = build_reweighter(f, config.p, gamma)
     return report
 
 
@@ -199,7 +200,7 @@ def flexible_nnrp(op, b, config, gkb=True, from_basis=False, x_exact=None):
     def after(x):
         nonlocal gamma, rw
         gamma = max(gamma / config.gamma_decay, config.gamma_min)
-        rw = build_reweighter(unvec(x, n), config.p, gamma)
+        rw = build_reweighter(svd(unvec(x, n)), config.p, gamma)
 
     name = f"{'flsqr' if gkb else 'fgmres'}-nnrp{'-v' if from_basis else ''}"
     rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value, stop)

@@ -11,6 +11,6 @@ def identity_reweighting(monkeypatch):
     is rebuilt as the identity and the flexible preconditioner returns a
     copy, so each solver must reproduce plain GMRES or LSQR."""
     monkeypatch.setattr(nnr, "build_reweighter",
-                        lambda X, p, gamma: identity_reweighter(X.shape[0]))
+                        lambda f, p, gamma: identity_reweighter(f.sigma.size))
     monkeypatch.setattr(nnr, "precondition",
                         lambda rw, v, power: np.array(v, copy=True))
