@@ -4,9 +4,12 @@ projection loop every Arnoldi/GKB solver runs, and the solvers of this
 module: GMRES, LSQR, RS-LR-GMRES, LR-FGMRES, LR-FLSQR.
 
 An Arnoldi step and each half of a Golub-Kahan step are one half-step,
-``_extend``: orthogonalize by block classical Gram-Schmidt applied twice
-(CGS2, four products with the whole basis), write the coefficients into
-the projected matrix, then append the new vector or report breakdown.
+``_extend``: orthogonalize by block classical Gram-Schmidt, with a second
+pass only when the first leaves 1/sqrt(2) of ||w|| or less ("twice is
+enough", Daniel, Gragg, Kaufman & Stewart 1976), write the coefficients
+into the projected matrix, then append the new vector or report
+breakdown.  A standard Golub-Kahan half first subtracts the term its
+short recurrence knows (beta v_{k-1}, alpha u_k), so one pass suffices.
 Bases are dense column-major (Fortran-order) arrays that start 16 columns
 wide and double their width when full, so a step appends a column in
 place and ``V_mat()`` and friends are views, not copies (desk scale,
@@ -44,19 +47,22 @@ __all__ = [
 ]
 
 _BREAKDOWN_REL = 1e-12
+_REORTH = 1 / np.sqrt(2)  # a second pass when one leaves less of ||w||
 _WIDTH = 16  # starting number of columns of every basis
 _LAMBDA_GRID = np.logspace(-16, 2, 37)  # trial lambdas of the optimal rule
 _GOLDEN_ITERS = 60  # golden-section steps that refine the best of them
 
 
 def _orthogonalize(w, Q):
-    """Block classical Gram-Schmidt applied twice (CGS2) against the
-    orthonormal columns of ``Q``; returns (w, coefficients)."""
+    """Block classical Gram-Schmidt against the orthonormal columns of
+    ``Q``, repeated once when the first pass leaves ||w|| at or below
+    _REORTH of its value; returns (w, summed coefficients)."""
     h = Q.T @ w
-    w = w - Q @ h
-    h2 = Q.T @ w
-    w = w - Q @ h2
-    return w, h + h2
+    w1 = w - Q @ h
+    if np.linalg.norm(w1) > _REORTH * np.linalg.norm(w):
+        return w1, h
+    h2 = Q.T @ w1
+    return w1 - Q @ h2, h + h2
 
 
 def _zeros(rows):
@@ -98,12 +104,18 @@ def _preconditioned(state, v, precondition):
     return z
 
 
-def _extend(w, Q, P, k):
+def _extend(w, Q, P, k, known=0.0):
     """The half-step every factorization shares: orthogonalize w against
     the columns of Q, write the coefficients h and then ||w|| into column
     k of P, and return w / ||w||; None on breakdown, when ||w|| <=
-    _BREAKDOWN_REL max(max |h|, 1) (the max of an empty h is 0)."""
+    _BREAKDOWN_REL max(max |h|, 1) (the max of an empty h is 0).
+    ``known`` is the coefficient on Q's last column that a short
+    recurrence gives: it is subtracted first and counted in h."""
+    if known:
+        w = w - known * Q[:, -1]
     w, h = _orthogonalize(w, Q)
+    if known:
+        h[-1] += known
     norm = np.linalg.norm(w)
     P[: h.size, k] = h
     P[h.size, k] = norm
@@ -211,13 +223,16 @@ def gkb_step(state, op, precondition=None):
     state.V = _room(state.V, k + 1)
     state.M = _room(state.M, k + 1, k + 2)
     state.T = _room(state.T, k + 1, k + 1)
-    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k)
+    standard = precondition is None
+    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k,
+                state.M[k, k - 1] if standard and k else 0.0)
     if v is None:
         state.breakdown = True
         return state
     state.V[:, k] = v
     z = _preconditioned(state, state.V[:, k], precondition)
-    u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k)
+    u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k,
+                state.T[k, k] if standard else 0.0)
     state.k = k + 1
     state.breakdown = u is None
     if u is not None:

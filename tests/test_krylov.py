@@ -124,6 +124,44 @@ class TestGolubKahan:
         assert np.abs(M - band).max() <= 1e-10
 
 
+    def test_standard_run_on_star_stays_bidiagonal(self):
+        # each half subtracts its known recurrence term first and then
+        # orthogonalizes in one pass; T and M must stay bidiagonal as the
+        # alphas fall to 3e-8 (plain one-pass CGS reaches 3e-10 off the
+        # band), and the term must come back into the factorization
+        prob = star_problem(16, seed=0)
+        A = prob.op.to_dense()
+        state = gkb_start(prob.op, prob.b)
+        for _ in range(200):
+            gkb_step(state, prob.op)
+        U, V, M, T = (state.U_mat(), state.V_mat(), state.M_mat(),
+                      state.T_mat())
+        assert np.abs(np.triu(T, 2)).max() <= 1e-12 * np.abs(T).max()
+        assert np.abs(np.triu(M, 1)).max() <= 1e-12 * np.abs(M).max()
+        assert np.linalg.norm(A @ V - U @ M) <= 1e-10
+        assert np.linalg.norm(A.T @ U[:, :200] - V @ T) <= 1e-10
+
+
+class TestOrthogonalize:
+    def test_second_pass_when_the_first_cancels(self):
+        # w lies within 1e-8 of span Q: one pass leaves rounding of size
+        # eps ||Q c|| against ||w|| ~ 1e-8, which only a second pass removes
+        rng = np.random.default_rng(9)
+        Q = np.linalg.qr(rng.standard_normal((256, 20)))[0]
+        c, r = rng.standard_normal(20), rng.standard_normal(256)
+        w, h = krylov._orthogonalize(Q @ c + 1e-8 * r, Q)
+        assert np.linalg.norm(Q.T @ w) <= 1e-14 * np.linalg.norm(w)
+        assert np.abs(h - (c + 1e-8 * Q.T @ r)).max() <= 1e-14
+
+    def test_one_pass_when_the_first_keeps_the_norm(self):
+        rng = np.random.default_rng(10)
+        Q = np.linalg.qr(rng.standard_normal((256, 20)))[0]
+        w0 = rng.standard_normal(256)
+        w, h = krylov._orthogonalize(w0, Q)
+        assert np.array_equal(h, Q.T @ w0)
+        assert np.array_equal(w, w0 - Q @ h)
+
+
 PROCESSES = {"arnoldi": (arnoldi_start, arnoldi_step, ("V", "Z", "H")),
              "gkb": (gkb_start, gkb_step, ("U", "V", "Z", "M", "T"))}
 
