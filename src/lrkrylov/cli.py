@@ -189,7 +189,7 @@ def _validate_solver(spec, problem):
             raise ConfigError(f"solver svt: {key} must be positive, "
                               f"got {value!r}")
     restart = spec.get("restart_len", 40) if name == "rs-lr-gmres" else 1
-    if not (isinstance(restart, int) and restart >= 1):
+    if not nnr.is_count(restart):
         raise ConfigError(f"solver {name}: restart_len must be an integer "
                           f">= 1, got {restart!r}")
     n = problem.get("n")
@@ -198,8 +198,7 @@ def _validate_solver(spec, problem):
             problems.inpainting_problem).parameters["n"].default
     for key in RANK_KEYS.get(name, ()):
         rank = spec.get(key, _DEFAULT_RANK)
-        top = n if isinstance(n, int) else rank
-        if not (isinstance(rank, int) and 1 <= rank <= top):
+        if not nnr.is_count(rank, n if isinstance(n, int) else None):
             raise ConfigError(f"solver {name}: {key} must be an integer in "
                               f"[1, n] (n = {n}), got {rank!r}")
 

@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def is_count(c, top=None):
+    """True for an integer in [1, top] (JSON ``true`` is no count)."""
+    return (isinstance(c, numbers.Integral) and not isinstance(c, bool)
+            and c >= 1 and (top is None or c <= top))
+
+
 @dataclass(frozen=True)
 class NnrConfig:
     """Configuration shared by the IRN and flexible solvers.
@@ -72,14 +78,16 @@ class NnrConfig:
         if not self.theta > 1:
             raise ValueError("theta must be > 1")
         counts = (self.max_outer, self.max_inner, self.max_iter)
-        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+        if not all(is_count(c) for c in counts):
             raise ValueError("iteration counts must be integers >= 1, "
                              f"got {counts}")
         if not (self.epsilon >= 0 and self.lambda_value >= 0
-                and self.gamma0 > 0 and self.gamma_min > 0
+                and self.tau_sigma >= 0 and self.gamma0 > 0
+                and self.gamma_min > 0
                 and self.gamma_decay > 0):  # written so that NaN fails
-            raise ValueError("epsilon and lambda_value must be nonnegative, "
-                             "gamma0, gamma_min and gamma_decay positive")
+            raise ValueError("epsilon, lambda_value and tau_sigma must be "
+                             "nonnegative, gamma0, gamma_min and gamma_decay "
+                             "positive")
 
     def stop(self):
         if self.epsilon > 0:

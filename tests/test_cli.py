@@ -242,6 +242,16 @@ class TestExitCodes:
         {"name": "svt", "tau": 0},
         {"name": "svt", "delta": -1},
         {"name": "rs-lr-gmres", "restart_len": 0},
+        {"name": "irn-lsqr-nnrp", "tau_sigma": "x"},
+        {"name": "irn-lsqr-nnrp", "tau_sigma": -1.0},
+        {"name": "irn-lsqr-nnrp", "tau_sigma": np.nan},
+        {"name": "lsqr", "max_iter": True},
+        {"name": "irn-lsqr-nnrp", "max_outer": True},
+        {"name": "irn-lsqr-nnrp", "max_inner": True},
+        {"name": "lr-flsqr", "kappa": True, "kappa_B": 2},
+        {"name": "lr-flsqr", "kappa_B": True, "kappa": 2},
+        {"name": "rs-lr-gmres", "truncation_rank": True},
+        {"name": "rs-lr-gmres", "restart_len": True},
     ], ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.items()))
     def test_bad_solver_config_is_exit_1(self, tmp_path, spec):
         cfg = base_config()
