@@ -86,6 +86,10 @@ def _nnr_config(spec, noise_norm):
         "p", "gamma0", "gamma_decay", "gamma_min", "lambda_rule",
         "lambda_value", "theta", "max_outer", "max_inner", "max_iter",
         "tau_sigma") if k in spec}
+    for key, value in dict(kwargs, epsilon=epsilon).items():
+        if isinstance(value, bool):  # JSON true passes as 1 otherwise
+            raise ConfigError(f"solver config: {key} must be a number, "
+                              f"got {value!r}")
     try:
         return nnr.NnrConfig(epsilon=float(epsilon or 0.0), **kwargs)
     except (TypeError, ValueError) as exc:
@@ -185,7 +189,8 @@ def _validate_solver(spec, problem):
     _check_config(spec, 1.0)  # a stand-in until b gives the noise norm
     for key in ("tau", "delta") if name == "svt" else ():
         value = spec.get(key, 1.0)
-        if not (isinstance(value, (int, float)) and value > 0):
+        if not (isinstance(value, (int, float))
+                and not isinstance(value, bool) and value > 0):
             raise ConfigError(f"solver svt: {key} must be positive, "
                               f"got {value!r}")
     restart = spec.get("restart_len", 40) if name == "rs-lr-gmres" else 1

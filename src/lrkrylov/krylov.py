@@ -18,6 +18,13 @@ N <= 65536, <= 200 steps).
 Every lambda rule is served by one thin SVD H = P S Q^T of the projected
 matrix per iteration, so a trial lambda costs O(k), not a least-squares
 solve (the SVD-filter form of hybrid methods, Chung, Nagy & O'Leary 2008).
+
+The hybrid loop builds an iterate Z_k y only where something reads it:
+at every step of a flexible run, of a run whose iterates are mapped
+(``solution``) or passed to ``after``, and of a run without ``x_exact``.
+A standard run with ``x_exact`` has Z_k = V_k orthonormal, takes its
+errors from coefficients and builds its last and best iterates once, at
+the end.
 """
 
 from dataclasses import dataclass
@@ -409,13 +416,24 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
     Tikhonov problem with ``rule`` (the optimal rule aims at V_k^T
     ``x_target``), maps Z_k y through ``solution``, records the iterate in
     cycle ``outer`` of ``report`` and tests the stops; then, unless this
-    was the last step, ``after(x)`` runs.  Returns (x, projected residual, stop reason).
+    was the last step, ``after(x)`` runs.  A standard run with ``x_exact``
+    records errors from coefficients instead and builds x once, at the end
+    (module docstring).  Returns (x, projected residual, stop reason).
     """
     if rule.kind == "optimal" and x_target is None:
         raise ValueError("the optimal lambda rule needs the exact solution")
     state = gkb_start(op, b) if gkb else arnoldi_start(op, b)
     step = gkb_step if gkb else arnoldi_step
+    # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
+    # r_j = r_{j-1} - t_j z_j from r_0 = x_exact, the error of Z_k y is
+    # sqrt(||r_k||^2 + ||t - y||^2), one dot product and one axpy a column
+    coeffs = (report is not None and x_exact is not None
+              and precondition is None and solution is None and after is None)
+    if coeffs:
+        r, t = np.array(x_exact, dtype=float), []
+        scale = np.linalg.norm(r)
     x, resid, reason = np.zeros(op.cols), state.beta, "max_iter"
+    last = best = None  # (k, y) of the iterates the coefficient path keeps
     for it in range(1, max_iter + 1):
         step(state, op, precondition)
         if state.k < it:
@@ -426,11 +444,21 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
             target = state.V_mat()[:, : state.k].T @ x_target
         proj = state.M_mat() if gkb else state.H_mat()
         y, resid, lam = rule.solve(proj, state.beta, target)
-        x = state.Z_mat() @ y  # not kept: one assembled basis at a time
-        if solution is not None:
-            x = solution(x)
-        if report is not None:
-            report.record(outer, x, resid, lam, x_exact)
+        if coeffs:
+            z = state.Z_mat()[:, -1]
+            t.append(z @ r)
+            r -= t[-1] * z
+            off = t - y
+            err = np.sqrt(r @ r + off @ off) / scale
+            last = (state.k, y)
+            if report.record(outer, None, resid, lam, x_exact, err=err):
+                best = last
+        else:
+            x = state.Z_mat() @ y  # not kept: one assembled basis at a time
+            if solution is not None:
+                x = solution(x)
+            if report is not None:
+                report.record(outer, x, resid, lam, x_exact)
         if stop is not None and stop.satisfied(resid):
             reason = "discrepancy"
             break
@@ -439,6 +467,11 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
             break
         if after is not None and it < max_iter:
             after(x)
+    if last is not None:
+        x = report.final_x = state.Z_mat()[:, : last[0]] @ last[1]
+        if best is not None:
+            report.best_x = (x if best is last
+                             else state.Z_mat()[:, : best[0]] @ best[1])
     return x, resid, reason
 
 

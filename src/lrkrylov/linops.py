@@ -133,10 +133,36 @@ def _blur_band_matrix(n, sigma, bandwidth):
     return B
 
 
+_BLOCK = 32  # rows per band block of a blur factor
+
+
+def _band_product(B, bandwidth):
+    """X -> B @ X in C order, by blocks of _BLOCK rows of the banded ``B``
+    that keep only the columns the band reaches.  A block keeps the
+    memory order of ``B`` (a transpose stays one), so that it rounds as
+    the dense product does."""
+    n = B.shape[0]
+    blocks = []
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        cols = slice(max(i - bandwidth, 0), min(i + _BLOCK + bandwidth, n))
+        blocks.append((rows, cols, B[rows, cols].copy(order="K")))
+
+    def product(X):
+        out = np.empty(X.shape)
+        for rows, cols, block in blocks:
+            np.matmul(block, X[cols], out=out[rows])
+        return out
+
+    return product
+
+
 def gaussian_blur_operator(n, sigma, bandwidth):
     """Separable Gaussian blur A = B (x) B with zero boundary conditions.
 
-    ``apply`` computes vec(B @ X @ B.T) in O(n^3) flops.
+    ``apply`` computes vec(B @ X @ B.T) as the transpose of B (B X)^T, by
+    band blocks of B (``_band_product``), in O(n^2 (_BLOCK + 2 bandwidth))
+    flops; ``apply_adjoint`` does the same with B^T.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -146,14 +172,14 @@ def gaussian_blur_operator(n, sigma, bandwidth):
         raise ValueError("bandwidth must not exceed n")
     B = _blur_band_matrix(n, sigma, bandwidth)
 
-    def apply(x, B=B, n=n):
-        return vec(B @ unvec(x, n) @ B.T)
-
-    def apply_adjoint(y, B=B, n=n):
-        return vec(B.T @ unvec(y, n) @ B)
+    def two_sided(product):
+        # B (B X)^T = (B X B^T)^T in C order: its transpose is what vec reads
+        return lambda x: vec(product(product(unvec(x, n)).T).T)
 
     N = n * n
-    return LinearOperator(N, N, n, apply, apply_adjoint)
+    return LinearOperator(N, N, n,
+                          two_sided(_band_product(B, bandwidth)),
+                          two_sided(_band_product(B.T, bandwidth)))
 
 
 def shaking_blur_operator(n, n_steps=8, seed=0):

@@ -36,7 +36,9 @@ class SolveReport:
     projected norms for the Arnoldi/GKB solvers.  The two coincide except
     for LR-FGMRES and LR-FLSQR, which record the projected residual of the
     untruncated Z_k y but return its rank-kappa truncation.  Relative
-    errors are NaN when no exact solution was supplied.
+    errors are NaN when no exact solution was supplied.  A solver that has
+    an iterate's error without the iterate records it as ``err`` and sets
+    ``final_x`` and ``best_x`` itself.
     """
 
     solver: str = ""
@@ -50,22 +52,25 @@ class SolveReport:
     best_x: np.ndarray | None = None
     stop_reason: str = "max_iter"
 
-    def record(self, outer, x, residual, lam, x_exact=None):
+    def record(self, outer, x, residual, lam, x_exact=None, err=None):
         """Append iterate ``x`` of cycle ``outer`` as iteration len + 1, so
-        iterations run 1, 2, ... across every cycle of the run."""
+        iterations run 1, 2, ... across every cycle of the run, and return
+        whether it is the new best.  ``err`` is its relative error when the
+        caller already has it; then ``x`` may be None, and the caller sets
+        ``final_x`` and ``best_x`` itself."""
         self.iterations.append(len(self.iterations) + 1)
         self.outer_indices.append(outer)
         self.residuals.append(float(residual))
         self.lambdas.append(float(lam))
-        if x_exact is not None:
+        if err is None and x_exact is not None:
             err = np.linalg.norm(x_exact - x) / np.linalg.norm(x_exact)
-        else:
-            err = np.nan
-        self.rel_errors.append(float(err))
+        self.rel_errors.append(np.nan if err is None else float(err))
+        best = len(self.rel_errors) == 1 or (
+            x_exact is not None and err == np.nanmin(self.rel_errors))
         self.final_x = x
-        if self.best_x is None or (x_exact is not None
-                                   and err == np.nanmin(self.rel_errors)):
+        if best:
             self.best_x = x
+        return best
 
     def add_spectrum(self, outer, sigma):
         """Record sigma / sigma_1 for cycle ``outer`` and return it."""

@@ -4,12 +4,13 @@ Runs every case of ``test_answers.py``, then every solver list of the
 benchmark workloads at warm-up size (``perfbench/workloads.warmup_config``),
 and hashes each report's iterations, outer indices, residuals, lambdas,
 relative errors, ``final_x``, ``best_x``, spectra and stop reason, so that
-two checkouts can be compared bitwise:
+two checkouts can be compared bitwise, from the root of each:
 
-    PYTHONPATH=src python tests/fingerprint.py > after.txt
+    python tests/fingerprint.py > after.txt
     diff before.txt after.txt    # before.txt: the same command on the parent
 
-pytest does not collect this file.
+The package is loaded from the checkout's ``src/``.  pytest does not
+collect this file.
 """
 
 import hashlib
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from test_answers import CASES, problem
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from lrkrylov import cli
+from test_answers import CASES, problem  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from lrkrylov import cli  # noqa: E402
+
 import workloads  # noqa: E402
 
 

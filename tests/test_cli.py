@@ -252,6 +252,15 @@ class TestExitCodes:
         {"name": "lr-flsqr", "kappa_B": True, "kappa": 2},
         {"name": "rs-lr-gmres", "truncation_rank": True},
         {"name": "rs-lr-gmres", "restart_len": True},
+        {"name": "irn-lsqr-nnrp", "tau_sigma": True},
+        {"name": "irn-lsqr-nnrp", "p": True},
+        {"name": "gmres", "lambda_rule": "fixed", "lambda_value": True},
+        {"name": "lsqr", "use_discrepancy": True, "epsilon": True},
+        {"name": "svt", "tau": True},
+        {"name": "svt", "delta": True},
+        {"name": "irn-lsqr-nnrp", "gamma0": True},
+        {"name": "irn-lsqr-nnrp", "gamma_decay": True},
+        {"name": "irn-lsqr-nnrp", "gamma_min": True},
     ], ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.items()))
     def test_bad_solver_config_is_exit_1(self, tmp_path, spec):
         cfg = base_config()

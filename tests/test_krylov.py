@@ -16,7 +16,7 @@ from lrkrylov.krylov import (
 )
 from lrkrylov.linops import from_dense, identity_operator
 from lrkrylov.lowrank import truncate
-from lrkrylov.problems import star_problem
+from lrkrylov.problems import phantom_problem, star_problem
 from lrkrylov.report import Discrepancy, SolveReport
 
 
@@ -324,6 +324,51 @@ class TestTruncatedSolvers:
 # b, so even its flexible basis spans two directions, and every other
 # basis spans one
 _IDENTITY_B = np.arange(1.0, 17.0)
+
+
+# standard runs with x_exact track their errors from coefficients; the
+# best iterate comes before the last on star/gmres and phantom/lsqr
+_STANDARD_RUNS = {
+    "star/gmres": (lambda: star_problem(32, 1e-2, seed=1), False),
+    "star/lsqr": (lambda: star_problem(32, 1e-2, seed=1), True),
+    "phantom/lsqr": (lambda: phantom_problem(32, n_angles=24, seed=1), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STANDARD_RUNS))
+class TestCoefficientErrors:
+    steps = 25
+
+    def test_error_is_that_of_the_built_iterate(self, case):
+        make, gkb = _STANDARD_RUNS[case]
+        prob = make()
+        solve = lsqr if gkb else gmres
+        report = solve(prob.op, prob.b, self.steps, x_exact=prob.x_exact)
+        assert len(report.rel_errors) == self.steps
+        scale = np.linalg.norm(prob.x_exact)
+        for k, err in enumerate(report.rel_errors, start=1):
+            x_k = solve(prob.op, prob.b, k, x_exact=prob.x_exact).final_x
+            want = np.linalg.norm(prob.x_exact - x_k) / scale
+            assert abs(err - want) <= 1e-12 * want
+
+    def test_iterates_equal_the_assembled_path(self, case):
+        make, gkb = _STANDARD_RUNS[case]
+        prob = make()
+
+        def run(solution):
+            report = SolveReport()
+            x, _, _ = krylov.hybrid(prob.op, prob.b, self.steps,
+                                    krylov._LambdaRule(), report, gkb,
+                                    solution=solution, x_exact=prob.x_exact)
+            assert x is report.final_x
+            return report
+
+        coeffs, built = run(None), run(lambda x: x)
+        assert np.array_equal(coeffs.final_x, built.final_x)
+        assert np.array_equal(coeffs.best_x, built.best_x)
+        assert coeffs.best[0] == built.best[0]
+        assert np.allclose(coeffs.rel_errors, built.rel_errors, rtol=1e-12,
+                           atol=0)
 
 
 def _identity_runs():

@@ -66,12 +66,18 @@ class TestBlur:
         with pytest.raises(ValueError):
             gaussian_blur_operator(8, 0.0, 3)
 
-    def test_commutes_with_two_sided_products(self):
-        op = gaussian_blur_operator(8, 1.5, 4)
-        B = _blur_band_matrix(8, 1.5, 4)
-        x = np.random.default_rng(2).standard_normal(64)
-        assert np.allclose(op.matvec(x), vec(B @ unvec(x, 8) @ B.T),
-                           atol=1e-12)
+    # n = 8 is one band block; the others span several, and bandwidth 40
+    # reaches past the neighbouring blocks
+    @pytest.mark.parametrize("n, sigma, bandwidth", [
+        (8, 1.5, 4), (33, 1, 3), (70, 2, 9), (70, 5, 40), (256, 2, 9)])
+    def test_commutes_with_two_sided_products(self, n, sigma, bandwidth):
+        op = gaussian_blur_operator(n, sigma, bandwidth)
+        B = _blur_band_matrix(n, sigma, bandwidth)
+        x = np.random.default_rng(2).standard_normal(n * n)
+        X = unvec(x, n)
+        for got, want in ((op.matvec(x), vec(B @ X @ B.T)),
+                          (op.rmatvec(x), vec(B.T @ X @ B))):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestTomography:
@@ -183,6 +189,7 @@ def test_shaking_blur_forward_values(n, n_steps, seed, reach):
     lambda: inpainting_operator(
         8, np.random.default_rng(5).random(64) > 0.3,
         gaussian_blur_operator(8, 1.0, 2)),
+    lambda: gaussian_blur_operator(40, 2.0, 9),  # two band blocks
 ])
 def test_adjoint_of_generated_operators(make_op):
     op = make_op()
