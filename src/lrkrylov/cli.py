@@ -186,6 +186,10 @@ def _validate_solver(spec, problem):
             and not spec.get("use_discrepancy", False)):
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
                           "discrepancy stop, \"use_discrepancy\": true")
+    unused = sorted({"gamma0", "gamma_decay", "gamma_min"} & spec.keys())
+    if name.endswith("-v") and unused:
+        raise ConfigError(f"solver {name}: {unused[0]} has no effect, the "
+                          "weights come from each basis vector alone")
     _check_config(spec, 1.0)  # a stand-in until b gives the noise norm
     for key in ("tau", "delta") if name == "svt" else ():
         value = spec.get(key, 1.0)

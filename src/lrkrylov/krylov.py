@@ -3,13 +3,13 @@ Tikhonov solves with their regularization-parameter rules, the hybrid
 projection loop every Arnoldi/GKB solver runs, and the solvers of this
 module: GMRES, LSQR, RS-LR-GMRES, LR-FGMRES, LR-FLSQR.
 
-An Arnoldi step and each half of a Golub-Kahan step are one half-step,
-``_extend``: orthogonalize by block classical Gram-Schmidt, with a second
-pass only when the first leaves 1/sqrt(2) of ||w|| or less ("twice is
-enough", Daniel, Gragg, Kaufman & Stewart 1976), write the coefficients
-into the projected matrix, then append the new vector or report
-breakdown.  A standard Golub-Kahan half first subtracts the term its
-short recurrence knows (beta v_{k-1}, alpha u_k), so one pass suffices.
+Every Arnoldi step and Golub-Kahan half, standard or flexible, is one
+half-step, ``_extend``: subtract w's part on the last two basis vectors
+(local orthogonality, Parlett 1980), then one block classical
+Gram-Schmidt pass, repeated only if it leaves 1/sqrt(2) of ||w|| or less
+("twice is enough", Daniel, Gragg, Kaufman & Stewart 1976); write the
+coefficients into the projected matrix, append the vector or report
+breakdown.
 Bases are dense column-major (Fortran-order) arrays that start 16 columns
 wide and double their width when full, so a step appends a column in
 place and ``V_mat()`` and friends are views, not copies (desk scale,
@@ -111,18 +111,16 @@ def _preconditioned(state, v, precondition):
     return z
 
 
-def _extend(w, Q, P, k, known=0.0):
-    """The half-step every factorization shares: orthogonalize w against
-    the columns of Q, write the coefficients h and then ||w|| into column
-    k of P, and return w / ||w||; None on breakdown, when ||w|| <=
-    _BREAKDOWN_REL max(max |h|, 1) (the max of an empty h is 0).
-    ``known`` is the coefficient on Q's last column that a short
-    recurrence gives: it is subtracted first and counted in h."""
-    if known:
-        w = w - known * Q[:, -1]
-    w, h = _orthogonalize(w, Q)
-    if known:
-        h[-1] += known
+def _extend(w, Q, P, k):
+    """The half-step every factorization shares: project w off the last
+    two columns of Q, where a short recurrence puts most of it, so that
+    one full pass keeps the norm; write the summed coefficients h and then
+    ||w|| into column k of P, and return w / ||w||; None on breakdown,
+    when ||w|| <= _BREAKDOWN_REL max(max |h|, 1) (0 for an empty h)."""
+    near = Q[:, -2:]
+    c = near.T @ w
+    w, h = _orthogonalize(w - near @ c, Q)
+    h[h.size - c.size:] += c
     norm = np.linalg.norm(w)
     P[: h.size, k] = h
     P[h.size, k] = norm
@@ -230,16 +228,13 @@ def gkb_step(state, op, precondition=None):
     state.V = _room(state.V, k + 1)
     state.M = _room(state.M, k + 1, k + 2)
     state.T = _room(state.T, k + 1, k + 1)
-    standard = precondition is None
-    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k,
-                state.M[k, k - 1] if standard and k else 0.0)
+    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k)
     if v is None:
         state.breakdown = True
         return state
     state.V[:, k] = v
     z = _preconditioned(state, state.V[:, k], precondition)
-    u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k,
-                state.T[k, k] if standard else 0.0)
+    u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k)
     state.k = k + 1
     state.breakdown = u is None
     if u is not None:

@@ -213,6 +213,21 @@ def test_06_surrogate_gradient_matches_finite_differences():
              f"(worst relative gap {worst:.2e})")
 
 
+def test_06_irn_weights_apply_the_surrogate_gradient():
+    # the weights the solvers run, S^T W^2 S from build_reweighter, map X
+    # to the gradient of the smoothed Schatten-p objective over p
+    rng = np.random.default_rng(106)
+    X = rng.standard_normal((6, 6))
+    worst = 0.0
+    for p, gamma in ((1.0, 1e-2), (0.75, 1.0), (0.5, 1e-6)):
+        want = vec(smooth_schatten_gradient(X, p, gamma)) / p
+        got = precondition(build_reweighter(X, p, gamma), vec(X), 2)
+        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    assert worst <= 1e-12
+    _pass(6, f"IRN weights S^T W^2 S X equal the surrogate gradient over p "
+             f"(worst relative gap {worst:.2e})")
+
+
 def test_07_preconditioned_solvers_degenerate_to_standard(
         identity_reweighting):
     prob = star_problem(16, noise_level=1e-3, seed=2)

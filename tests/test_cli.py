@@ -261,6 +261,12 @@ class TestExitCodes:
         {"name": "irn-lsqr-nnrp", "gamma0": True},
         {"name": "irn-lsqr-nnrp", "gamma_decay": True},
         {"name": "irn-lsqr-nnrp", "gamma_min": True},
+        {"name": "fgmres-nnrp-v", "gamma0": 5.0},
+        {"name": "fgmres-nnrp-v", "gamma_decay": 2.0},
+        {"name": "fgmres-nnrp-v", "gamma_min": 1e-3},
+        {"name": "flsqr-nnrp-v", "gamma0": 5.0},
+        {"name": "flsqr-nnrp-v", "gamma_decay": 2.0},
+        {"name": "flsqr-nnrp-v", "gamma_min": 1e-3},
     ], ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.items()))
     def test_bad_solver_config_is_exit_1(self, tmp_path, spec):
         cfg = base_config()

@@ -16,7 +16,7 @@ from lrkrylov.krylov import (
 )
 from lrkrylov.linops import from_dense, identity_operator
 from lrkrylov.lowrank import truncate
-from lrkrylov.problems import phantom_problem, star_problem
+from lrkrylov.problems import inpainting_problem, phantom_problem, star_problem
 from lrkrylov.report import Discrepancy, SolveReport
 
 
@@ -125,10 +125,11 @@ class TestGolubKahan:
 
 
     def test_standard_run_on_star_stays_bidiagonal(self):
-        # each half subtracts its known recurrence term first and then
-        # orthogonalizes in one pass; T and M must stay bidiagonal as the
-        # alphas fall to 3e-8 (plain one-pass CGS reaches 3e-10 off the
-        # band), and the term must come back into the factorization
+        # each half first projects w off the last two basis vectors, which
+        # take its recurrence term, and then orthogonalizes in one pass;
+        # T and M must stay bidiagonal as the alphas fall to 4e-8 (plain
+        # one-pass CGS reaches 3e-10 off the band), and the local
+        # coefficients must come back into the factorization
         prob = star_problem(16, seed=0)
         A = prob.op.to_dense()
         state = gkb_start(prob.op, prob.b)
@@ -162,7 +163,40 @@ class TestOrthogonalize:
         assert np.array_equal(w, w0 - Q @ h)
 
 
-PROCESSES = {"arnoldi": (arnoldi_start, arnoldi_step, ("V", "Z", "H")),
+class TestLocalStep:
+    # _extend first projects w off the last two basis vectors; what is
+    # left keeps more than _REORTH of its norm through the full pass, so
+    # no half-step of these runs takes a second pass (the smallest kept
+    # fractions are about 0.98 and 0.95; without the local step all 30
+    # gmres steps and 30 of the 60 flexible half-steps take one)
+    @staticmethod
+    def one_pass_flags(monkeypatch):
+        flags = []
+        orthogonalize = krylov._orthogonalize
+
+        def spy(w, Q):
+            kept = np.linalg.norm(w - Q @ (Q.T @ w))
+            flags.append(kept > krylov._REORTH * np.linalg.norm(w))
+            return orthogonalize(w, Q)
+
+        monkeypatch.setattr(krylov, "_orthogonalize", spy)
+        return flags
+
+    def test_gmres_on_star(self, monkeypatch):
+        flags = self.one_pass_flags(monkeypatch)
+        prob = star_problem(32, noise_level=1e-2, seed=1)
+        gmres(prob.op, prob.b, 30, x_exact=prob.x_exact)
+        assert len(flags) == 30 and all(flags)
+
+    def test_flexible_gkb_on_inpainting(self, monkeypatch):
+        flags = self.one_pass_flags(monkeypatch)
+        prob = inpainting_problem(n=32, rank_cap=16, seed=1)
+        nnr.flexible_nnrp(prob.op, prob.b, nnr.NnrConfig(max_iter=30),
+                          gkb=True, x_exact=prob.x_exact)
+        assert len(flags) == 60 and all(flags)
+
+
+PROCESSES ={"arnoldi": (arnoldi_start, arnoldi_step, ("V", "Z", "H")),
              "gkb": (gkb_start, gkb_step, ("U", "V", "Z", "M", "T"))}
 
 
