@@ -239,6 +239,10 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
         if validate_only:
             print(json.dumps(config, indent=2))
             return 0
+        threads = os.environ.get("LRK_THREADS", "1")
+        if not threads.isdecimal() or int(threads) < 1:
+            raise ConfigError("LRK_THREADS must be an integer >= 1, not "
+                              f"{threads!r}")
         problem = build_problem(config["problem"], seed_override)
         if not np.all(np.isfinite(problem.b)):
             raise ConfigError("problem: the data b has non-finite entries")
@@ -274,8 +278,7 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
             "iterations_run": len(report.iterations),
         }
 
-    max_workers = max(int(os.environ.get("LRK_THREADS", "1")), 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(int(threads)) as pool:
         summary = dict(pool.map(job, config["solvers"]))
     failed = any(entry.get("status") == "failed" for entry in summary.values())
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2))

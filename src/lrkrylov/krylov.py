@@ -10,9 +10,9 @@ Gram-Schmidt pass, repeated only if it leaves 1/sqrt(2) of ||w|| or less
 ("twice is enough", Daniel, Gragg, Kaufman & Stewart 1976); write the
 coefficients into the projected matrix, append the vector or report
 breakdown.
-Bases are dense column-major (Fortran-order) arrays that start 16 columns
-wide and double their width when full, so a step appends a column in
-place and ``V_mat()`` and friends are views, not copies (desk scale,
+Bases are dense column-major (Fortran-order) arrays sized once by the
+start function from the step budget, so a step writes a column in place
+and ``V_mat()`` and friends are views, not copies (desk scale,
 N <= 65536, <= 200 steps).
 
 Every lambda rule is served by one thin SVD H = P S Q^T of the projected
@@ -55,7 +55,6 @@ __all__ = [
 
 _BREAKDOWN_REL = 1e-12
 _REORTH = 1 / np.sqrt(2)  # a second pass when one leaves less of ||w||
-_WIDTH = 16  # starting number of columns of every basis
 _LAMBDA_GRID = np.logspace(-16, 2, 37)  # trial lambdas of the optimal rule
 _GOLDEN_ITERS = 60  # golden-section steps that refine the best of them
 
@@ -72,41 +71,26 @@ def _orthogonalize(w, Q):
     return w1 - Q @ h2, h + h2
 
 
-def _zeros(rows):
-    return np.zeros((rows, _WIDTH), order="F")
-
-
-def _room(a, cols, rows=0):
-    """``a`` if it has ``cols`` columns and ``rows`` rows, else a copy of it
-    in a zero Fortran array with each short dimension doubled."""
-    r, c = a.shape
-    if cols <= c and rows <= r:
-        return a
-    grown = np.zeros((2 * r if rows > r else r, 2 * c if cols > c else c),
-                     order="F")
-    grown[:r, :c] = a
-    return grown
-
-
-def _first_column(b):
-    """(beta, basis array holding b / beta as its first column)."""
+def _first_column(b, cols):
+    """(beta, basis array of ``cols`` columns, the first b / beta)."""
     b = np.asarray(b, dtype=float)
     beta = np.linalg.norm(b)
     if beta == 0:
         raise ValueError("start vector is zero")
-    Q = _zeros(b.size)
+    Q = np.empty((b.size, cols), order="F")
     Q[:, 0] = b / beta
     return beta, Q
 
 
-def _preconditioned(state, v, precondition):
-    """z = precondition(v), kept as column k of Z; a standard run
-    (``precondition`` None) keeps no Z, since there Z_k = V_k."""
+def _preconditioned(state, v, precondition, steps):
+    """z = precondition(v), kept as column k of Z, which the first call
+    allocates with ``steps`` columns; a standard run (``precondition``
+    None) keeps no Z, since there Z_k = V_k."""
     if precondition is None:
         return v
     z = precondition(v)
-    state.Z = _room(_zeros(v.size) if state.Z is None else state.Z,
-                    state.k + 1)
+    if state.Z is None:
+        state.Z = np.empty((v.size, steps), order="F")
     state.Z[:, state.k] = z
     return z
 
@@ -133,10 +117,11 @@ def _extend(w, Q, P, k):
 class ArnoldiState:
     """Partial (flexible) Arnoldi factorization  A Z_k = V_{k+1} H_k.
 
-    The bases are the leading columns of Fortran arrays that double their
-    width when full, and the ``*_mat()`` methods return views into them.
-    A standard run keeps no Z: there Z_k = V_k.  After a breakdown V has
-    k columns.
+    The factors are the leading parts of Fortran arrays sized once for
+    the step budget: V (N, steps + 1), H (steps + 1, steps) and, in a
+    flexible run, Z (N, steps); the ``*_mat()`` methods return views into
+    them.  A standard run keeps no Z: there Z_k = V_k.  After a breakdown
+    V has k columns.
     """
 
     beta: float
@@ -156,11 +141,11 @@ class ArnoldiState:
         return self.H[: self.k + 1, : self.k]
 
 
-def arnoldi_start(op, b):
+def arnoldi_start(op, b, steps):
     if op.rows != op.cols:
         raise ValueError("Arnoldi requires a square operator")
-    beta, V = _first_column(b)
-    return ArnoldiState(beta, V, _zeros(_WIDTH))
+    beta, V = _first_column(b, steps + 1)
+    return ArnoldiState(beta, V, np.zeros((steps + 1, steps), order="F"))
 
 
 def arnoldi_step(state, op, precondition=None):
@@ -168,9 +153,8 @@ def arnoldi_step(state, op, precondition=None):
     if state.breakdown:
         return state
     k = state.k
-    state.V = _room(state.V, k + 2)
-    state.H = _room(state.H, k + 1, k + 2)
-    z = _preconditioned(state, state.V[:, k], precondition)
+    z = _preconditioned(state, state.V[:, k], precondition,
+                        state.H.shape[1])
     v = _extend(op.matvec(z), state.V[:, : k + 1], state.H, k)
     state.k = k + 1
     state.breakdown = v is None
@@ -184,8 +168,9 @@ class GkbState:
     """Partial (flexible) Golub-Kahan factorization:
     A Z_k = U_{k+1} M_k  and  A^T U_k = V_k T_k.
 
-    Storage as in ``ArnoldiState``; ``u`` counts the columns of U, which
-    are k + 1, or k after a breakdown in the second half of a step.
+    Storage as in ``ArnoldiState``: U (M, steps + 1), V and Z (N, steps),
+    M (steps + 1, steps), T (steps, steps).  ``u`` counts the columns of
+    U: k + 1, or k after a breakdown in the second half of a step.
     """
 
     beta: float
@@ -214,9 +199,11 @@ class GkbState:
         return self.T[: self.k, : self.k]
 
 
-def gkb_start(op, b):
-    beta, U = _first_column(b)
-    return GkbState(beta, U, _zeros(op.cols), _zeros(_WIDTH), _zeros(_WIDTH))
+def gkb_start(op, b, steps):
+    beta, U = _first_column(b, steps + 1)
+    return GkbState(beta, U, np.empty((op.cols, steps), order="F"),
+                    np.zeros((steps + 1, steps), order="F"),
+                    np.zeros((steps, steps), order="F"))
 
 
 def gkb_step(state, op, precondition=None):
@@ -224,16 +211,13 @@ def gkb_step(state, op, precondition=None):
     if state.breakdown:
         return state
     k = state.k
-    state.U = _room(state.U, k + 2)
-    state.V = _room(state.V, k + 1)
-    state.M = _room(state.M, k + 1, k + 2)
-    state.T = _room(state.T, k + 1, k + 1)
     v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k)
     if v is None:
         state.breakdown = True
         return state
     state.V[:, k] = v
-    z = _preconditioned(state, state.V[:, k], precondition)
+    z = _preconditioned(state, state.V[:, k], precondition,
+                        state.M.shape[1])
     u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k)
     state.k = k + 1
     state.breakdown = u is None
@@ -417,7 +401,7 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
     """
     if rule.kind == "optimal" and x_target is None:
         raise ValueError("the optimal lambda rule needs the exact solution")
-    state = gkb_start(op, b) if gkb else arnoldi_start(op, b)
+    state = (gkb_start if gkb else arnoldi_start)(op, b, max_iter)
     step = gkb_step if gkb else arnoldi_step
     # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
     # r_j = r_{j-1} - t_j z_j from r_0 = x_exact, the error of Z_k y is
@@ -524,13 +508,14 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
     n = op.image_side
     x = np.zeros(op.cols)
     report = SolveReport(solver="rs-lr-gmres")
+    V = np.empty((op.cols, restart_len + 1), order="F")  # each cycle's basis
+    AV = np.empty((op.rows, restart_len + 1), order="F")  # and A times it
     for outer in range(max_outer):
         r = b - op.matvec(x)
         rnorm = np.linalg.norm(r)
         if rnorm <= _BREAKDOWN_REL * np.linalg.norm(b):
             report.stop_reason = "zero_residual"
             break
-        V, AV = _zeros(op.cols), _zeros(op.rows)  # basis and A times it
         V[:, 0] = r / rnorm
         AV[:, 0] = op.matvec(V[:, 0])
         m = 1
@@ -541,7 +526,6 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
             wnorm = np.linalg.norm(wt)
             grown = wnorm > _BREAKDOWN_REL * max(np.linalg.norm(u), 1.0)
             if grown:
-                V, AV = _room(V, m + 1), _room(AV, m + 1)
                 V[:, m] = wt / wnorm
                 AV[:, m] = op.matvec(V[:, m])
                 m += 1

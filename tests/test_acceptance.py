@@ -97,14 +97,14 @@ def test_02_factorization_residuals():
         A = op.to_dense()
         trunc = lambda v: truncate(v, 5)
         for precond in (None, trunc):
-            state = arnoldi_start(op, b)
+            state = arnoldi_start(op, b, 30)
             for _ in range(30):
                 arnoldi_step(state, op, precondition=precond)
             lhs = A @ state.Z_mat()
             gap = np.linalg.norm(lhs - state.V_mat() @ state.H_mat())
             worst = max(worst, gap / np.linalg.norm(lhs))
         for precond in (None, trunc):
-            state = gkb_start(op, b)
+            state = gkb_start(op, b, 30)
             for _ in range(30):
                 gkb_step(state, op, precondition=precond)
             lhs = A @ state.Z_mat()

@@ -320,6 +320,16 @@ class TestExitCodes:
         assert cli.run(path, out_dir=str(out)) == 1
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
+    def test_bad_thread_count_is_exit_1(self, tmp_path, monkeypatch, capsys,
+                                        threads):
+        monkeypatch.setenv("LRK_THREADS", threads)
+        path = write_config(tmp_path / "c.json", base_config())
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert "config error: LRK_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_only(self, tmp_path, capsys):
         cfg = base_config()
         path = write_config(tmp_path / "c.json", cfg)

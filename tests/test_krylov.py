@@ -30,7 +30,7 @@ def random_square_op(n_side, seed, shift=0.0):
 class TestArnoldi:
     def test_identity_breaks_down_immediately(self):
         op = identity_operator(4)
-        state = arnoldi_start(op, np.arange(1.0, 17.0))
+        state = arnoldi_start(op, np.arange(1.0, 17.0), 1)
         arnoldi_step(state, op)
         assert state.breakdown
         assert np.allclose(state.H_mat(), [[1.0], [0.0]], atol=1e-14)
@@ -38,7 +38,7 @@ class TestArnoldi:
     def test_factorization_identity(self):
         op, A = random_square_op(4, 0)
         b = np.random.default_rng(1).standard_normal(16)
-        state = arnoldi_start(op, b)
+        state = arnoldi_start(op, b, 5)
         for _ in range(5):
             arnoldi_step(state, op)
         V, H = state.V_mat(), state.H_mat()
@@ -69,7 +69,7 @@ class TestArnoldi:
             V.append(w / H[i + 1, i])
             Z.append(z)
 
-        state = arnoldi_start(op, b)
+        state = arnoldi_start(op, b, 5)
         for _ in range(5):
             arnoldi_step(state, op, precondition=precond)
         assert np.linalg.norm(state.H_mat() - H) <= 1e-12
@@ -80,18 +80,18 @@ class TestArnoldi:
         rng = np.random.default_rng(4)
         op = from_dense(rng.standard_normal((10, 16)), 4)
         with pytest.raises(ValueError):
-            arnoldi_start(op, np.ones(10))
+            arnoldi_start(op, np.ones(10), 1)
 
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
-            arnoldi_start(identity_operator(4), np.zeros(16))
+            arnoldi_start(identity_operator(4), np.zeros(16), 1)
 
 
 class TestGolubKahan:
     def test_first_coefficient(self):
         op, A = random_square_op(4, 5)
         b = np.random.default_rng(6).standard_normal(16)
-        state = gkb_start(op, b)
+        state = gkb_start(op, b, 1)
         gkb_step(state, op)
         assert np.isclose(state.T_mat()[0, 0],
                           np.linalg.norm(A.T @ (b / np.linalg.norm(b))))
@@ -100,7 +100,7 @@ class TestGolubKahan:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((20, 16))
         op = from_dense(A, 4)
-        state = gkb_start(op, rng.standard_normal(20))
+        state = gkb_start(op, rng.standard_normal(20), 6)
         for _ in range(6):
             gkb_step(state, op)
         U, V, M, T = (state.U_mat(), state.V_mat(), state.M_mat(),
@@ -113,7 +113,7 @@ class TestGolubKahan:
     def test_unpreconditioned_projection_is_bidiagonal(self):
         rng = np.random.default_rng(8)
         op = from_dense(rng.standard_normal((20, 16)), 4)
-        state = gkb_start(op, rng.standard_normal(20))
+        state = gkb_start(op, rng.standard_normal(20), 6)
         for _ in range(6):
             gkb_step(state, op)
         M = state.M_mat()
@@ -132,7 +132,7 @@ class TestGolubKahan:
         # coefficients must come back into the factorization
         prob = star_problem(16, seed=0)
         A = prob.op.to_dense()
-        state = gkb_start(prob.op, prob.b)
+        state = gkb_start(prob.op, prob.b, 200)
         for _ in range(200):
             gkb_step(state, prob.op)
         U, V, M, T = (state.U_mat(), state.V_mat(), state.M_mat(),
@@ -196,41 +196,54 @@ class TestLocalStep:
         assert len(flags) == 60 and all(flags)
 
 
-PROCESSES ={"arnoldi": (arnoldi_start, arnoldi_step, ("V", "Z", "H")),
-             "gkb": (gkb_start, gkb_step, ("U", "V", "Z", "M", "T"))}
+PROCESSES = {"arnoldi": (arnoldi_start, arnoldi_step),
+             "gkb": (gkb_start, gkb_step)}
 
 
 class TestStorage:
     @pytest.mark.parametrize("process", sorted(PROCESSES))
     def test_only_a_flexible_run_keeps_its_own_z(self, process):
-        start, step, _ = PROCESSES[process]
+        start, step = PROCESSES[process]
         op, _ = random_square_op(4, 20)
         b = np.random.default_rng(21).standard_normal(16)
         for precondition, shared in ((None, True),
                                      (lambda v: truncate(v, 2), False)):
-            state = start(op, b)
+            state = start(op, b, 3)
             for _ in range(3):
                 step(state, op, precondition)
             assert np.shares_memory(state.Z_mat(), state.V_mat()) == shared
 
-    @pytest.mark.parametrize("process", sorted(PROCESSES))
-    def test_columns_survive_growth(self, process):
-        start, step, names = PROCESSES[process]
+    @staticmethod
+    def check_sized_once(start, step, op, b, shapes):
+        # the start allocates every array but Z at its final shape and the
+        # first preconditioned step allocates Z; each stays the same object
+        # through the budget of 20 steps, and a step past it raises
+        precondition = lambda v: truncate(v, 3)
+        state = start(op, b, 20)
+        assert state.Z is None
+        assert {n: getattr(state, n).shape for n in shapes} == shapes
+        step(state, op, precondition)
+        assert state.Z.shape == (op.cols, 20)
+        arrays = {n: getattr(state, n) for n in (*shapes, "Z")}
+        for _ in range(19):
+            step(state, op, precondition)
+        assert state.k == 20 and not state.breakdown
+        assert all(getattr(state, n) is a for n, a in arrays.items())
+        with pytest.raises(IndexError):
+            step(state, op, precondition)
+
+    def test_arnoldi_bases_are_sized_once(self):
         op, _ = random_square_op(6, 22)
         b = np.random.default_rng(23).standard_normal(36)
-        precondition = lambda v: truncate(v, 3)
-        state = start(op, b)
-        for _ in range(14):
-            step(state, op, precondition)
-        before = {n: getattr(state, f"{n}_mat")().copy() for n in names}
-        assert {getattr(state, n).shape[1] for n in names} == {16}
-        for _ in range(6):
-            step(state, op, precondition)
-        assert {getattr(state, n).shape[1] for n in names} == {32}
-        for n, old in before.items():
-            new = getattr(state, f"{n}_mat")()
-            assert new.shape[1] > old.shape[1]
-            assert np.array_equal(new[: old.shape[0], : old.shape[1]], old)
+        self.check_sized_once(arnoldi_start, arnoldi_step, op, b,
+                              {"V": (36, 21), "H": (21, 20)})
+
+    def test_gkb_bases_are_sized_once(self):
+        rng = np.random.default_rng(24)
+        op = from_dense(rng.standard_normal((40, 36)), 6)
+        self.check_sized_once(gkb_start, gkb_step, op, rng.standard_normal(40),
+                              {"U": (40, 21), "V": (36, 20), "M": (21, 20),
+                               "T": (20, 20)})
 
 
 class TestProjectedTikhonov:

@@ -42,7 +42,7 @@ def operators(draw, square):
 
 def run(start, step, op, b, steps, precondition):
     """The state after ``steps`` steps and the breakdown flag after each."""
-    state = start(op, b)
+    state = start(op, b, steps)
     flags = []
     for _ in range(steps):
         step(state, op, precondition)

@@ -46,7 +46,7 @@ def projected(draw):
     op = from_dense(A, SIDE)
     start, step = (gkb_start, gkb_step) if gkb else (arnoldi_start,
                                                         arnoldi_step)
-    state = start(op, rng.standard_normal(SIZE))
+    state = start(op, rng.standard_normal(SIZE), k)
     for _ in range(k):
         step(state, op)
     H = state.M_mat() if gkb else state.H_mat()
