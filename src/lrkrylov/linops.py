@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._tomo_kernels import trace_rays
 
@@ -222,6 +221,7 @@ def tomography_operator(n, angles, detector_count):
     (back-projection).  Assembled once as a sparse matrix via the
     Siddon traversal in :mod:`lrkrylov._tomo_kernels`.
     """
+    import scipy.sparse as sp  # imported here: only tomography needs scipy
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size == 0:
         raise ValueError("at least one projection angle is required")

@@ -7,6 +7,7 @@ rank-capped synthetic textures (or a user-supplied image file).
 All generators are deterministic given their seed.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,19 +209,18 @@ def write_pgm(path, X, lo=None, hi=None):
 def read_pgm(path):
     """Read a binary (P5) PGM into floats in [0, 1]."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"unsupported PGM magic {magic!r} in {path}")
-        fields = []
-        while len(fields) < 3:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"truncated PGM header in {path}")
-            if line.startswith(b"#"):
-                continue
-            fields += line.split()
-        w, h, maxval = (int(f) for f in fields)
-        dtype = ">u2" if maxval > 255 else np.uint8
-        data = np.frombuffer(fh.read(), dtype=dtype, count=w * h)
+        raw = fh.read()
+    if raw[:2] != b"P5":
+        raise ValueError(f"unsupported PGM magic {raw[:2]!r} in {path}")
+    # width, height and maxval, each after whitespace and "#" comments that
+    # run to the end of a line; then one whitespace byte before the raster
+    field = rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)"
+    head = re.match(rb"P5" + field * 3 + rb"\s", raw)
+    if head is None:
+        raise ValueError(f"malformed PGM header in {path}")
+    w, h, maxval = (int(f) for f in head.groups())
+    if not 0 < maxval < 65536:
+        raise ValueError(f"PGM maxval {maxval} outside [1, 65535] in {path}")
+    dtype = ">u2" if maxval > 255 else np.uint8
+    data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=head.end())
     return data.reshape(h, w).astype(float) / maxval
-

@@ -154,3 +154,35 @@ class TestPgm:
         path.write_bytes(b"P6\n1 1\n255\n\x00")
         with pytest.raises(ValueError):
             read_pgm(path)
+
+    # netpbm headers: any whitespace between fields, "#" comments to the
+    # end of a line, then one whitespace byte before the raster; the raster
+    # here starts with bytes 32 and 10, which are whitespace themselves
+    RASTER = bytes([32, 10] + list(range(2, 8)))
+
+    @pytest.mark.parametrize("header", [
+        b"P5 4 2 255\n",
+        b"P5\n4 2 # size\n255\n",
+        b"P5\t4\t2\t255\t",
+        b"P5# made by hand\n#\n 4\n\n2\r\n255 ",
+    ], ids=["one-line", "inline-comment", "tabs", "comment-lines"])
+    def test_header_layouts(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + self.RASTER)
+        want = np.frombuffer(self.RASTER, np.uint8).reshape(2, 4) / 255.0
+        assert np.array_equal(read_pgm(path), want)
+
+    @pytest.mark.parametrize("data", [b"P5\n4 2\n", b"P5 4 2 x255\n"],
+                             ids=["truncated", "non-numeric"])
+    def test_malformed_header_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data + self.RASTER)
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("maxval", [b"0", b"65536"])
+    def test_bad_maxval_rejected(self, tmp_path, maxval):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5 4 2 " + maxval + b"\n" + self.RASTER * 2)
+        with pytest.raises(ValueError, match="maxval"):
+            read_pgm(path)
