@@ -12,49 +12,89 @@ import argparse
 import concurrent.futures
 import inspect
 import json
+import numbers
 import os
 import sys
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import krylov, nnr, problems
 from .linops import unvec
 
-SOLVER_NAMES = frozenset({
-    "gmres", "lsqr", "rs-lr-gmres", "lr-fgmres", "lr-flsqr",
-    "irn-gmres-nnrp", "irn-lsqr-nnrp", "fgmres-nnrp", "flsqr-nnrp",
-    "fgmres-nnrp-v", "flsqr-nnrp-v", "svt",
-})
 
-# solvers built on the Arnoldi process, which needs a square operator
-GMRES_FAMILY = frozenset({
-    "gmres", "rs-lr-gmres", "lr-fgmres", "irn-gmres-nnrp", "fgmres-nnrp",
-    "fgmres-nnrp-v",
-})
-# rank parameters of the truncating solvers; each must lie in [1, n]
-RANK_KEYS = {"rs-lr-gmres": ("truncation_rank",),
-             "lr-fgmres": ("kappa_B", "kappa"),
-             "lr-flsqr": ("kappa_B", "kappa")}
-_DEFAULT_RANK = 30
-# lambda rules each solver acts on; the flexible solvers never project the
-# exact solution, so "optimal" would silently run them with lambda = 0,
-# and rs-lr-gmres and svt have no lambda at all
-_ALL_RULES = frozenset({"zero", "fixed", "secant", "optimal"})
-_NO_OPTIMAL = frozenset({"zero", "fixed", "secant"})
-LAMBDA_RULES = {
-    "gmres": _ALL_RULES, "lsqr": _ALL_RULES,
-    "irn-gmres-nnrp": _ALL_RULES, "irn-lsqr-nnrp": _ALL_RULES,
-    "lr-fgmres": _NO_OPTIMAL, "lr-flsqr": _NO_OPTIMAL,
-    "fgmres-nnrp": _NO_OPTIMAL, "flsqr-nnrp": _NO_OPTIMAL,
-    "fgmres-nnrp-v": _NO_OPTIMAL, "flsqr-nnrp-v": _NO_OPTIMAL,
-    "rs-lr-gmres": frozenset({"zero"}), "svt": frozenset({"zero"}),
+class _Solver(NamedTuple):
+    run: Callable  # run(problem, NnrConfig, the flag's stop, settings)
+    square: bool  # built on the Arnoldi process, which needs A square
+    keys: dict  # every key it reads -> default, None where NnrConfig has it
+    rules: tuple  # the lambda rules it acts on
+
+
+def _keys(*names, **defaults):
+    # every solver reads the discrepancy level: "epsilon", else the noise
+    # norm of b unless "use_noise_norm" is false, times "theta"
+    return dict(dict.fromkeys(("epsilon", "theta", *names)),
+                use_noise_norm=True, **defaults)
+
+
+def _hybrid(fn):
+    # the low-rank solvers take their ranks kappa_B and kappa first
+    return lambda p, cfg, stop, s: fn(
+        p.op, p.b, *[s[k] for k in ("kappa_B", "kappa") if k in s],
+        cfg.max_iter, stop, krylov._LambdaRule(
+            cfg.lambda_rule, cfg.lambda_value, stop), p.x_exact)
+
+
+def _irn(gkb):
+    return lambda p, cfg, stop, s: nnr.irn_nnrp(p.op, p.b, cfg, gkb=gkb,
+                                                x_exact=p.x_exact)
+
+
+def _flexible(gkb, from_basis):
+    return lambda p, cfg, stop, s: nnr.flexible_nnrp(
+        p.op, p.b, cfg, gkb=gkb, from_basis=from_basis, x_exact=p.x_exact)
+
+
+_RANK = 30  # default of every truncation rank; each must lie in [1, n]
+_HYBRID = _keys("max_iter", "lambda_rule", "lambda_value",
+                use_discrepancy=False)
+_LOW_RANK = dict(_HYBRID, kappa_B=_RANK, kappa=_RANK)
+_GAMMA = dict.fromkeys(("gamma0", "gamma_decay", "gamma_min"))
+_IRN = _keys("p", "max_outer", "max_inner", "tau_sigma", "lambda_rule",
+             "lambda_value", **_GAMMA)
+# the "-v" variants weigh each basis vector by itself, with no gamma
+_FLEX_V = _keys("p", "max_iter", "lambda_rule", "lambda_value")
+_FLEX = dict(_FLEX_V, **_GAMMA)
+_RULES = ("zero", "fixed", "secant", "optimal")
+# the flexible solvers never project the exact solution, so "optimal" would
+# silently run them with lambda = 0; rs-lr-gmres and svt have no lambda
+_NO_OPT = _RULES[:3]
+SOLVERS = {
+    "gmres": _Solver(_hybrid(krylov.gmres), True, _HYBRID, _RULES),
+    "lsqr": _Solver(_hybrid(krylov.lsqr), False, _HYBRID, _RULES),
+    "rs-lr-gmres": _Solver(
+        lambda p, cfg, stop, s: krylov.rs_lr_gmres(
+            p.op, p.b, s["restart_len"], s["truncation_rank"],
+            cfg.max_outer, stop, p.x_exact),
+        True, _keys("lambda_rule", restart_len=40, truncation_rank=_RANK,
+                    max_outer=5, use_discrepancy=False), ("zero",)),
+    "lr-fgmres": _Solver(_hybrid(krylov.lr_fgmres), True, _LOW_RANK, _NO_OPT),
+    "lr-flsqr": _Solver(_hybrid(krylov.lr_flsqr), False, _LOW_RANK, _NO_OPT),
+    "irn-gmres-nnrp": _Solver(_irn(False), True, _IRN, _RULES),
+    "irn-lsqr-nnrp": _Solver(_irn(True), False, _IRN, _RULES),
+    "fgmres-nnrp": _Solver(_flexible(False, False), True, _FLEX, _NO_OPT),
+    "flsqr-nnrp": _Solver(_flexible(True, False), False, _FLEX, _NO_OPT),
+    "fgmres-nnrp-v": _Solver(_flexible(False, True), True, _FLEX_V, _NO_OPT),
+    "flsqr-nnrp-v": _Solver(_flexible(True, True), False, _FLEX_V, _NO_OPT),
+    "svt": _Solver(
+        lambda p, cfg, stop, s: nnr.svt(
+            p.op, p.b, s["tau"], s["delta"], cfg.max_iter, stop, p.x_exact),
+        False, _keys("max_iter", "lambda_rule", tau=1.0, delta=2.0,
+                     use_discrepancy=False), ("zero",)),
 }
-# solvers whose discrepancy stop comes only from "use_discrepancy"; the
-# secant rule aims at that stop, so it needs the flag here and a
-# discrepancy level (epsilon or the noise norm) everywhere
-DISCREPANCY_BY_FLAG = frozenset({"gmres", "lsqr", "lr-fgmres", "lr-flsqr"})
+_FIELDS = inspect.signature(nnr.NnrConfig).parameters.keys() - {"epsilon"}
 
 
 class ConfigError(Exception):
@@ -78,66 +118,36 @@ def build_problem(spec, seed_override=None):
     raise ConfigError(f"problem.type: unknown problem type {kind!r}")
 
 
-def _nnr_config(spec, noise_norm):
-    epsilon = spec.get("epsilon")
-    if epsilon is None and spec.get("use_noise_norm", True):
-        epsilon = noise_norm
-    kwargs = {k: spec[k] for k in (
-        "p", "gamma0", "gamma_decay", "gamma_min", "lambda_rule",
-        "lambda_value", "theta", "max_outer", "max_inner", "max_iter",
-        "tau_sigma") if k in spec}
+def _settings(spec, noise_norm):
+    """The keys the solver reads outside NnrConfig, defaults filled in, and
+    its NnrConfig, whose secant rule needs a discrepancy level to aim at."""
+    name = spec["name"]
+    settings = {k: spec.get(k, d) for k, d in SOLVERS[name].keys.items()
+                if k in spec or d is not None}
+    epsilon = settings.pop("epsilon", None)
+    if epsilon is None:
+        epsilon = noise_norm if settings["use_noise_norm"] else 0.0
+    kwargs = {k: settings.pop(k) for k in settings.keys() & _FIELDS}
     for key, value in dict(kwargs, epsilon=epsilon).items():
-        if isinstance(value, bool):  # JSON true passes as 1 otherwise
-            raise ConfigError(f"solver config: {key} must be a number, "
+        if key != "lambda_rule" and (isinstance(value, bool) or
+                                     not isinstance(value, numbers.Real)):
+            raise ConfigError(f"solver {name}: {key} must be a number, "
                               f"got {value!r}")
     try:
-        return nnr.NnrConfig(epsilon=float(epsilon or 0.0), **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver config: {exc}") from exc
-
-
-def _check_config(spec, noise_norm):
-    """Reject a solver config that would fail at this noise norm."""
-    cfg = _nnr_config(spec, noise_norm)
+        cfg = nnr.NnrConfig(epsilon=float(epsilon), **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"solver {name}: {exc}") from exc
     if cfg.lambda_rule == "secant" and cfg.stop() is None:
-        raise ConfigError(f"solver {spec['name']}: lambda_rule 'secant' "
-                          "needs a discrepancy level, a positive "
-                          "\"epsilon\" or the noise norm of noisy data")
+        raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
+                          "discrepancy level, a positive \"epsilon\" or the "
+                          "noise norm of noisy data")
+    return settings, cfg
 
 
 def run_solver(spec, problem):
-    name = spec["name"]
-    op, b, x_exact = problem.op, problem.b, problem.x_exact
-    cfg = _nnr_config(spec, problem.noise_norm)
-    stop = cfg.stop() if spec.get("use_discrepancy", False) else None
-    if name in DISCREPANCY_BY_FLAG:  # the solvers that take a rule here
-        rule = krylov._LambdaRule(cfg.lambda_rule, cfg.lambda_value, stop)
-    if name == "gmres":
-        return krylov.gmres(op, b, cfg.max_iter, stop, rule, x_exact)
-    if name == "lsqr":
-        return krylov.lsqr(op, b, cfg.max_iter, stop, rule, x_exact)
-    if name == "rs-lr-gmres":
-        return krylov.rs_lr_gmres(
-            op, b, spec.get("restart_len", 40),
-            spec.get("truncation_rank", _DEFAULT_RANK),
-            spec.get("max_outer", 5), stop, x_exact)
-    if name in ("lr-fgmres", "lr-flsqr"):
-        fn = krylov.lr_fgmres if name == "lr-fgmres" else krylov.lr_flsqr
-        return fn(op, b, spec.get("kappa_B", _DEFAULT_RANK),
-                  spec.get("kappa", _DEFAULT_RANK), cfg.max_iter, stop,
-                  rule, x_exact)
-    if name in ("irn-gmres-nnrp", "irn-lsqr-nnrp"):
-        return nnr.irn_nnrp(op, b, cfg, gkb=name == "irn-lsqr-nnrp",
-                            x_exact=x_exact)
-    if name in ("fgmres-nnrp", "flsqr-nnrp", "fgmres-nnrp-v", "flsqr-nnrp-v"):
-        return nnr.flexible_nnrp(op, b, cfg, gkb=name.startswith("flsqr"),
-                                 from_basis=name.endswith("-v"),
-                                 x_exact=x_exact)
-    if name == "svt":
-        return nnr.svt(op, b, float(spec.get("tau", 1.0)),
-                       float(spec.get("delta", 2.0)), cfg.max_iter,
-                       stop, x_exact)
-    raise ConfigError(f"solver.name: unknown solver {name!r}")
+    settings, cfg = _settings(spec, problem.noise_norm)
+    stop = cfg.stop() if settings.get("use_discrepancy") else None
+    return SOLVERS[spec["name"]].run(problem, cfg, stop, settings)
 
 
 def _write_report(report, name, problem, outdir, emit_images, emit_spectra):
@@ -175,57 +185,69 @@ def _cross_check_residuals(report, problem, tol=1e-8):
 
 def _validate_solver(spec, problem):
     name, kind = spec["name"], problem.get("type")
-    if name in GMRES_FAMILY and kind in ("phantom", "inpainting"):
+    solver = SOLVERS[name]
+    unread = sorted(spec.keys() - solver.keys.keys() - {"name"})
+    if unread:
+        raise ConfigError(f"solver {name}: never reads {unread[0]!r}; its "
+                          f"keys are {', '.join(sorted(solver.keys))}")
+    if solver.square and kind in ("phantom", "inpainting"):
         raise ConfigError(f"solver {name}: needs a square operator, and "
                           f"{kind!r} operators are not square")
     rule = spec.get("lambda_rule", "zero")
-    if not isinstance(rule, str) or rule not in LAMBDA_RULES[name]:
+    if not isinstance(rule, str) or rule not in solver.rules:
         raise ConfigError(f"solver {name}: lambda_rule must be one of "
-                          f"{sorted(LAMBDA_RULES[name])}, got {rule!r}")
-    if (rule == "secant" and name in DISCREPANCY_BY_FLAG
+                          f"{sorted(solver.rules)}, got {rule!r}")
+    n = problem.get("n", inspect.signature(problems.inpainting_problem)
+                    .parameters["n"].default if kind == "inpainting" else None)
+    # the keys NnrConfig does not check; 1.0 stands in for the noise norm
+    for key, value in _settings(spec, 1.0)[0].items():
+        if key.startswith("use_"):
+            ok, want = isinstance(value, bool), "true or false"
+        elif key in ("tau", "delta"):
+            ok = not isinstance(value, bool) and isinstance(
+                value, numbers.Real) and 0 < value <= sys.float_info.max
+            want = "a finite number > 0"
+        else:  # restart_len and the ranks
+            top = n if key != "restart_len" and isinstance(n, int) else None
+            ok = nnr.is_count(value, top)
+            want = f"an integer in [1, {top}]" if top else "an integer >= 1"
+        if not ok:
+            raise ConfigError(f"solver {name}: {key} must be {want}, "
+                              f"got {value!r}")
+    if (rule == "secant" and "use_discrepancy" in solver.keys
             and not spec.get("use_discrepancy", False)):
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
                           "discrepancy stop, \"use_discrepancy\": true")
-    unused = sorted({"gamma0", "gamma_decay", "gamma_min"} & spec.keys())
-    if name.endswith("-v") and unused:
-        raise ConfigError(f"solver {name}: {unused[0]} has no effect, the "
-                          "weights come from each basis vector alone")
-    _check_config(spec, 1.0)  # a stand-in until b gives the noise norm
-    for key in ("tau", "delta") if name == "svt" else ():
-        value = spec.get(key, 1.0)
-        if not (isinstance(value, (int, float))
-                and not isinstance(value, bool) and value > 0):
-            raise ConfigError(f"solver svt: {key} must be positive, "
-                              f"got {value!r}")
-    restart = spec.get("restart_len", 40) if name == "rs-lr-gmres" else 1
-    if not nnr.is_count(restart):
-        raise ConfigError(f"solver {name}: restart_len must be an integer "
-                          f">= 1, got {restart!r}")
-    n = problem.get("n")
-    if n is None and kind == "inpainting":
-        n = inspect.signature(
-            problems.inpainting_problem).parameters["n"].default
-    for key in RANK_KEYS.get(name, ()):
-        rank = spec.get(key, _DEFAULT_RANK)
-        if not nnr.is_count(rank, n if isinstance(n, int) else None):
-            raise ConfigError(f"solver {name}: {key} must be an integer in "
-                              f"[1, n] (n = {n}), got {rank!r}")
+
+
+# the top-level keys, each with its type
+_FLAG = (bool, "true or false")
+_TOP_LEVEL = {"problem": (dict, "an object"), "solvers": (list, "a list"),
+              "output_dir": (str, "a string"), "emit_images": _FLAG,
+              "emit_spectra": _FLAG, "cross_check_residuals": _FLAG}
 
 
 def validate_config(config):
-    problem = config.get("problem")
-    if problem is None:
+    if not isinstance(config, dict):
+        raise ConfigError(f"the config must be a JSON object, got {config!r}")
+    for key, value in config.items():
+        if key not in _TOP_LEVEL:
+            raise ConfigError(f"{key}: unknown key; the config takes "
+                              f"{', '.join(_TOP_LEVEL)}")
+        kind, want = _TOP_LEVEL[key]
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key}: must be {want}, got {value!r}")
+    if "problem" not in config:
         raise ConfigError("problem: missing section")
-    if not isinstance(problem, dict):
-        raise ConfigError("problem: must be a JSON object")
     solvers = config.get("solvers")
     if not solvers:
         raise ConfigError("solvers: the solver list is empty")
     for spec in solvers:
-        name = spec.get("name")
-        if name not in SOLVER_NAMES:
-            raise ConfigError(f"solver.name: unknown solver {name!r}")
-        _validate_solver(spec, problem)
+        name = spec.get("name") if isinstance(spec, dict) else None
+        if not isinstance(name, str) or name not in SOLVERS:
+            raise ConfigError(f"solvers: {spec!r} is not an object naming a "
+                              "known solver")
+        _validate_solver(spec, config["problem"])
     names = [s["name"] for s in solvers]
     if len(set(names)) != len(names):
         raise ConfigError("solvers: duplicate solver names")
@@ -247,24 +269,22 @@ def run(config_path, out_dir=None, validate_only=False, seed_override=None):
         if not np.all(np.isfinite(problem.b)):
             raise ConfigError("problem: the data b has non-finite entries")
         for spec in config["solvers"]:
-            _check_config(spec, problem.noise_norm)
+            _settings(spec, problem.noise_norm)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     outdir = Path(out_dir or config.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    emit_images = bool(config.get("emit_images", True))
-    emit_spectra = bool(config.get("emit_spectra", True))
-    cross_check = bool(config.get("cross_check_residuals", False))
 
     def job(spec):
         name = spec["name"]
         try:
             report = run_solver(spec, problem)
-            if cross_check:
+            if config.get("cross_check_residuals", False):
                 _cross_check_residuals(report, problem)
-            _write_report(report, name, problem, outdir, emit_images,
-                          emit_spectra)
+            _write_report(report, name, problem, outdir,
+                          config.get("emit_images", True),
+                          config.get("emit_spectra", True))
         except Exception as exc:
             # one failed solver must not take down the others' results
             traceback.print_exc()

@@ -9,6 +9,7 @@ live here too.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,21 +74,20 @@ class NnrConfig:
     tau_sigma: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise ValueError("p must lie in (0, 1]")
-        if not self.theta > 1:
-            raise ValueError("theta must be > 1")
-        counts = (self.max_outer, self.max_inner, self.max_iter)
-        if not all(is_count(c) for c in counts):
-            raise ValueError("iteration counts must be integers >= 1, "
-                             f"got {counts}")
-        if not (self.epsilon >= 0 and self.lambda_value >= 0
-                and self.tau_sigma >= 0 and self.gamma0 > 0
-                and self.gamma_min > 0
-                and self.gamma_decay > 0):  # written so that NaN fails
-            raise ValueError("epsilon, lambda_value and tau_sigma must be "
-                             "nonnegative, gamma0, gamma_min and gamma_decay "
-                             "positive")
+        for key, ok, want in (  # each test written so that NaN fails
+                ("p", 0 < self.p <= 1, "in (0, 1]"),
+                ("theta", self.theta > 1, "> 1"),
+                ("gamma0", self.gamma0 > 0, "> 0"),
+                ("gamma_decay", self.gamma_decay > 0, "> 0"),
+                ("gamma_min", self.gamma_min > 0, "> 0"),
+                ("epsilon", self.epsilon >= 0, ">= 0"),
+                ("lambda_value", self.lambda_value >= 0, ">= 0"),
+                ("tau_sigma", self.tau_sigma >= 0, ">= 0"),
+                *((k, is_count(getattr(self, k)), "an integer >= 1")
+                  for k in ("max_outer", "max_inner", "max_iter"))):
+            if not (ok and getattr(self, key) <= sys.float_info.max):
+                raise ValueError(f"{key} must be finite and {want}, got "
+                                 f"{getattr(self, key)!r}")
 
     def stop(self):
         if self.epsilon > 0:

@@ -2,10 +2,12 @@
 
 Every solver runs through ``cli.run_solver`` on star, phantom and
 inpainting problems at n = 32 (the GMRES family, which needs a square
-operator, on star only), under each lambda rule that ``cli.LAMBDA_RULES``
-accepts for it, with the discrepancy stop on and off.  ``iterations_run``
-and ``stop_reason`` must match ``answers.json`` exactly, and
-``min_rel_error`` and the last recorded residual to 1e-8 relative.
+operator, on star only), under each lambda rule that its entry in
+``cli.SOLVERS`` accepts, with the discrepancy stop on and off.  Each spec
+holds only the keys of ``BUDGET`` and ``STOPS`` that its solver reads.
+``iterations_run`` and ``stop_reason`` must match ``answers.json``
+exactly, and ``min_rel_error`` and the last recorded residual to 1e-8
+relative.
 
 Under the optimal rule the last residual is held to 1e-5 only.  That rule
 picks lambda by a golden-section search on an error that is flat near its
@@ -52,11 +54,13 @@ def cases():
     """{case name: (problem name, solver spec)} for every accepted case."""
     out = {}
     for pname, problem in PROBLEMS.items():
-        for solver in sorted(cli.SOLVER_NAMES):
-            for rule in sorted(cli.LAMBDA_RULES[solver]):
+        for solver, entry in sorted(cli.SOLVERS.items()):
+            for rule in sorted(entry.rules):
                 for sname, flags in STOPS.items():
-                    spec = dict(BUDGET, name=solver, lambda_rule=rule,
-                                **flags)
+                    spec = {k: v for k, v in dict(BUDGET, lambda_rule=rule,
+                                                  **flags).items()
+                            if k in entry.keys}
+                    spec["name"] = solver
                     try:
                         cli.validate_config({"problem": problem,
                                              "solvers": [spec]})

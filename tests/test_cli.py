@@ -1,15 +1,36 @@
 import json
+import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrkrylov import cli
 from lrkrylov.cli import ConfigError, validate_config
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def write_config(path, config):
     path.write_text(json.dumps(config))
     return str(path)
+
+
+# the opening of a config text, to be completed with its solvers and flags
+STAR = '{"problem": {"type": "star", "n": 16}, '
+STAR_LSQR = STAR + '"solvers": [{"name": "lsqr"}], '
+
+
+def own_keys(name, values):
+    """The entries of ``values`` whose keys solver ``name`` reads."""
+    return {k: v for k, v in values.items() if k in cli.SOLVERS[name].keys}
 
 
 def base_config(**overrides):
@@ -44,11 +65,12 @@ class TestValidation:
                                          {"name": "gmres"}]})
 
     def test_all_known_names_accepted(self):
-        solvers = [{"name": n} for n in sorted(cli.SOLVER_NAMES)]
+        solvers = [{"name": n} for n in sorted(cli.SOLVERS)]
         validate_config({"problem": {}, "solvers": solvers})
 
     @pytest.mark.parametrize("kind", ["phantom", "inpainting"])
-    @pytest.mark.parametrize("name", sorted(cli.GMRES_FAMILY))
+    @pytest.mark.parametrize("name", sorted(
+        n for n, s in cli.SOLVERS.items() if s.square))
     def test_gmres_family_needs_square_problem(self, name, kind):
         with pytest.raises(ConfigError, match="square"):
             validate_config({"problem": {"type": kind, "n": 16},
@@ -56,8 +78,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ["phantom", "inpainting"])
     def test_lsqr_family_accepted_on_nonsquare_problems(self, kind):
-        names = sorted(cli.SOLVER_NAMES - cli.GMRES_FAMILY)
-        solvers = [{"name": n, "kappa": 2, "kappa_B": 2} for n in names]
+        names = sorted(n for n, s in cli.SOLVERS.items() if not s.square)
+        solvers = [dict(own_keys(n, {"kappa": 2, "kappa_B": 2}), name=n)
+                   for n in names]
         validate_config({"problem": {"type": kind, "n": 16},
                          "solvers": solvers})
 
@@ -67,7 +90,8 @@ class TestValidation:
         ("lr-flsqr", "kappa")])
     @pytest.mark.parametrize("rank", [0, -1, 17])
     def test_rank_outside_image_side(self, name, key, rank):
-        spec = {"name": name, "truncation_rank": 2, "kappa": 2, "kappa_B": 2}
+        spec = dict(own_keys(name, {"truncation_rank": 2, "kappa": 2,
+                                    "kappa_B": 2}), name=name)
         spec[key] = rank
         with pytest.raises(ConfigError, match=key):
             validate_config({"problem": {"type": "star", "n": 16},
@@ -104,19 +128,22 @@ class TestValidation:
     def test_optimal_rule_rejected_for_flexible_solvers(self, name):
         # these solvers never project the exact solution, so "optimal"
         # would run them with lambda = 0 throughout
-        spec = {"name": name, "kappa": 2, "kappa_B": 2}
+        spec = dict(own_keys(name, {"kappa": 2, "kappa_B": 2}), name=name)
+        secant = own_keys(name, {"lambda_rule": "secant",
+                                 "use_discrepancy": True})
         validate_config({"problem": {"type": "star", "n": 16},
-                         "solvers": [dict(spec, lambda_rule="secant",
-                                          use_discrepancy=True)]})
+                         "solvers": [dict(spec, **secant)]})
         with pytest.raises(ConfigError, match="lambda_rule"):
             validate_config({"problem": {"type": "star", "n": 16},
                              "solvers": [dict(spec, lambda_rule="optimal")]})
 
-    @pytest.mark.parametrize("name", sorted(cli.DISCREPANCY_BY_FLAG))
+    @pytest.mark.parametrize("name", sorted(
+        n for n, s in cli.SOLVERS.items()
+        if "use_discrepancy" in s.keys and "secant" in s.rules))
     def test_secant_rule_needs_discrepancy_stop(self, name):
         # without a stop the secant rule never moves lambda off 0
-        spec = {"name": name, "kappa": 2, "kappa_B": 2,
-                "lambda_rule": "secant"}
+        spec = dict(own_keys(name, {"kappa": 2, "kappa_B": 2}), name=name,
+                    lambda_rule="secant")
         problem = {"type": "star", "n": 16}
         for flag in ({}, {"use_discrepancy": False}):
             with pytest.raises(ConfigError, match="use_discrepancy"):
@@ -142,7 +169,7 @@ class TestValidation:
     @pytest.mark.parametrize("rule", ["fixed", "secant", "optimal"])
     def test_lambda_rule_rejected_for_solvers_without_lambda(self, name,
                                                              rule):
-        spec = {"name": name, "truncation_rank": 2}
+        spec = dict(own_keys(name, {"truncation_rank": 2}), name=name)
         validate_config({"problem": {"type": "star", "n": 16},
                          "solvers": [dict(spec, lambda_rule="zero")]})
         with pytest.raises(ConfigError, match="lambda_rule"):
@@ -214,16 +241,17 @@ class TestExitCodes:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("name", sorted(
-        n for n, rules in cli.LAMBDA_RULES.items() if "secant" in rules))
+        n for n, s in cli.SOLVERS.items() if "secant" in s.rules))
     def test_secant_without_discrepancy_level_is_exit_1(self, tmp_path,
-                                                        name):
+                                                        capsys, name):
         cfg = base_config()
-        cfg["solvers"] = [{"name": name, "max_iter": 3, "kappa": 2,
-                           "kappa_B": 2, "lambda_rule": "secant",
-                           "use_discrepancy": True, "use_noise_norm": False}]
+        cfg["solvers"] = [dict(own_keys(name, {
+            "max_iter": 3, "kappa": 2, "kappa_B": 2, "lambda_rule": "secant",
+            "use_discrepancy": True, "use_noise_norm": False}), name=name)]
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
         assert cli.run(path, out_dir=str(out)) == 1
+        assert "discrepancy level" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("spec", [
@@ -267,16 +295,60 @@ class TestExitCodes:
         {"name": "flsqr-nnrp-v", "gamma0": 5.0},
         {"name": "flsqr-nnrp-v", "gamma_decay": 2.0},
         {"name": "flsqr-nnrp-v", "gamma_min": 1e-3},
+        # json reads 1e400 as inf, and NaN and Infinity as they are
+        {"name": "flsqr-nnrp", "gamma0": 1e400},
+        {"name": "irn-lsqr-nnrp", "gamma_min": 1e400},
+        {"name": "irn-lsqr-nnrp", "gamma_decay": math.inf},
+        {"name": "irn-lsqr-nnrp", "tau_sigma": math.inf},
+        {"name": "svt", "delta": 1e400},
+        {"name": "svt", "tau": math.inf},
+        {"name": "svt", "tau": math.nan},
+        {"name": "gmres", "lambda_rule": "fixed", "lambda_value": math.inf},
+        {"name": "lsqr", "use_discrepancy": True, "epsilon": math.inf},
+        {"name": "lsqr", "theta": math.inf},
+        # keys the solver never reads
+        {"name": "lsqr", "max_iters": 7},
+        {"name": "svt", "kappa": 3},
+        {"name": "gmres", "gamma0": 5.0},
+        {"name": "irn-lsqr-nnrp", "use_discrepancy": False},
+        # flags that are not JSON booleans
+        {"name": "lsqr", "use_discrepancy": "no"},
+        {"name": "irn-lsqr-nnrp", "use_noise_norm": 0},
     ], ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.items()))
-    def test_bad_solver_config_is_exit_1(self, tmp_path, spec):
+    def test_bad_solver_config_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                         spec):
+        def build(*args):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(cli, "build_problem", build)
         cfg = base_config()
-        cfg["solvers"] = [dict({"max_iter": 3, "max_outer": 2,
-                                "max_inner": 3, "truncation_rank": 2},
-                               **spec)]
+        budget = {"max_iter": 3, "max_outer": 2, "max_inner": 3,
+                  "truncation_rank": 2}
+        cfg["solvers"] = [dict(own_keys(spec["name"], budget), **spec)]
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
         assert cli.run(path, out_dir=str(out)) == 1
         assert not (out / "summary.json").exists()
+        # the message names the solver and a key of the case, as
+        # "<key> must ..." or "'<key>'"
+        err = capsys.readouterr().err
+        assert f"solver {spec['name']}: " in err
+        assert any(f"{key} must" in err or f"'{key}'" in err
+                   for key in spec if key != "name"), err
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "svt", "tau": 10**400},
+        {"name": "flsqr-nnrp", "gamma0": 10**400},
+        {"name": "lsqr", "max_iter": 10**400},
+    ], ids=["svt-tau", "flsqr-nnrp-gamma0", "lsqr-max_iter"])
+    def test_integer_beyond_float_range_is_exit_1(self, tmp_path, capsys,
+                                                  spec):
+        # json reads 1 followed by 400 zeros as an int no float can hold
+        cfg = base_config(solvers=[spec])
+        path = write_config(tmp_path / "c.json", cfg)
+        assert cli.run(path, out_dir=str(tmp_path / "o")) == 1
+        key = list(spec)[1]
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_secant_on_noise_free_data_is_exit_1(self, tmp_path):
         # the noise norm, and with it the discrepancy level, is 0
@@ -328,6 +400,28 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert cli.run(path, out_dir=str(out)) == 1
         assert "config error: LRK_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '[1, 2]',
+        STAR + '"solvers": ["lsqr"]}',
+        STAR + '"solvers": {"name": "lsqr"}}',
+        STAR + '"solvers": 5}',
+        STAR + '"solvers": [{"name": ["lsqr"]}]}',
+        STAR + '"solvers": [{"name": {"a": 1}}]}',
+        STAR_LSQR + '"emit_images": "false"}',
+        STAR_LSQR + '"cross_check_residuals": 1}',
+        STAR_LSQR + '"emit_image": false}',
+        STAR_LSQR + '"output_dir": 5}',
+    ], ids=["list", "solver-string", "solvers-object", "solvers-number",
+            "name-list", "name-object", "flag-string", "flag-number",
+            "unknown-key", "output-dir-number"])
+    def test_config_of_wrong_shape_is_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert cli.run(str(path), out_dir=str(out)) == 1
+        assert "config error: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_validate_only(self, tmp_path, capsys):
@@ -429,12 +523,13 @@ class TestArtifacts:
 
 
 class TestSolverDispatch:
-    @pytest.mark.parametrize("name", sorted(cli.SOLVER_NAMES))
+    @pytest.mark.parametrize("name", sorted(cli.SOLVERS))
     def test_every_solver_runs(self, name, tmp_path):
         cfg = base_config()
-        spec = {"name": name, "max_iter": 4, "max_outer": 2,
-                "max_inner": 2, "restart_len": 3, "truncation_rank": 2,
-                "kappa": 2, "kappa_B": 2, "tau": 0.5, "delta": 0.9}
+        spec = dict(own_keys(name, {
+            "max_iter": 4, "max_outer": 2, "max_inner": 2, "restart_len": 3,
+            "truncation_rank": 2, "kappa": 2, "kappa_B": 2, "tau": 0.5,
+            "delta": 0.9}), name=name)
         cfg["solvers"] = [spec]
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
@@ -451,3 +546,71 @@ class TestSolverDispatch:
         assert cli.run(path, out_dir=str(out)) == 0
         lines = (out / "gmres_iterations.csv").read_text().splitlines()
         assert all(line.rsplit(",", 1)[1] == "0.5" for line in lines[1:])
+
+
+README_CLI = (ROOT / "README.md").read_text().split("\n## CLI\n")[1]
+
+
+class TestConfigContract:
+    """Every input is either valid or a ConfigError, and the configs that
+    the benchmark and the README give are valid."""
+
+    @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+    def test_benchmark_workloads_validate(self, name):
+        for seed in range(20):
+            validate_config(workloads.config(name, seed))
+        validate_config(workloads.warmup_config(name))
+
+    def test_readme_example_validates(self):
+        example = README_CLI.split("```json\n")[1].split("```")[0]
+        validate_config(json.loads(example))
+
+    def test_readme_key_table_matches_solvers(self):
+        table = README_CLI.split("| solvers | keys (default) |\n|---|---|\n")
+        documented, common = {}, set()
+        for row in table[1].split("\n\n")[0].splitlines():
+            names, keys = row.strip("|").split("|")
+            keys = set(re.findall(r"`(\w+)` \(", keys))
+            common |= keys if "every solver" in names else set()
+            documented.update(dict.fromkeys(re.findall(r"`([\w-]+)`", names),
+                                            keys))
+        assert {n: keys | common for n, keys in documented.items()} == {
+            n: set(s.keys) for n, s in cli.SOLVERS.items()}
+
+
+KEYS = sorted({"problem", "solvers", "output_dir", "emit_images",
+               "emit_spectra", "cross_check_residuals", "name", "type", "n",
+               "seed"}.union(*(s.keys for s in cli.SOLVERS.values())))
+# valid keys and misspelled ones
+key_names = st.sampled_from(KEYS) | st.sampled_from(KEYS).map(
+    lambda k: k + "s") | st.sampled_from(KEYS).map(lambda k: k[1:])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10**400, -10**400, math.inf, -math.inf, math.nan])
+    | st.text(max_size=6) | st.sampled_from(sorted(cli.SOLVERS)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(key_names, inner, max_size=3),
+    max_leaves=8)
+entries = st.dictionaries(key_names, json_values, max_size=4)
+solver_specs = st.builds(
+    lambda name, rest: dict(rest, name=name),
+    st.sampled_from(sorted(cli.SOLVERS)) | json_values, entries)
+problem_specs = st.builds(
+    lambda kind, rest: dict(rest, type=kind),
+    st.sampled_from(["star", "phantom", "inpainting"]) | json_values,
+    entries)
+configs = json_values | st.builds(
+    lambda problem, solvers, rest: dict(rest, problem=problem,
+                                        solvers=solvers),
+    problem_specs | json_values,
+    st.lists(solver_specs | json_values, max_size=3) | json_values,
+    entries)
+
+
+@given(configs)
+@settings(max_examples=300, deadline=None)
+def test_validate_config_accepts_or_raises_config_error(config):
+    try:
+        validate_config(config)
+    except ConfigError:
+        pass
