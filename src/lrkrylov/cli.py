@@ -134,8 +134,8 @@ def _settings(spec, noise_norm):
             raise ConfigError(f"solver {name}: {key} must be a number, "
                               f"got {value!r}")
     try:
-        cfg = nnr.NnrConfig(epsilon=float(epsilon), **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+        cfg = nnr.NnrConfig(epsilon=epsilon, **kwargs)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver {name}: {exc}") from exc
     if cfg.lambda_rule == "secant" and cfg.stop() is None:
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "

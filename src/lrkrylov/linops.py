@@ -229,16 +229,13 @@ def tomography_operator(n, angles, detector_count):
         raise ValueError("detector_count must be >= 1")
     spacing = n / detector_count
     offsets = (np.arange(detector_count) - (detector_count - 1) / 2.0) * spacing
-    rows, cols, vals = trace_rays(n, angles, offsets)
     M = angles.size * detector_count
     N = n * n
-    # the rays come row by row, so the row counts are the CSR row pointer;
     # sum_duplicates sorts each row's columns (a ray visits them in t
     # order, not by index) and would merge repeats, as a COO build does
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=M))))
+    indptr, cols, vals = trace_rays(n, angles, offsets)
     A = sp.csr_matrix((vals, cols, indptr), shape=(M, N))
     A.sum_duplicates()
-    del rows, cols, vals  # free the triplets before the transpose is built
     At = A.T.tocsr()
     return LinearOperator(
         rows=M,

@@ -21,6 +21,7 @@ from .linops import (
     vec,
 )
 from .lowrank import truncate
+from .nnr import is_count
 
 __all__ = [
     "TestProblem",
@@ -99,6 +100,10 @@ def phantom_problem(n, noise_level=1e-2, angle_span_degrees=90.0,
     rng = np.random.default_rng(seed)
     if detector_count is None:
         detector_count = n
+    for key, value in (("n", n), ("n_angles", n_angles),
+                       ("detector_count", detector_count)):
+        if not is_count(value):
+            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
     centers = [(0.50, 0.50), (0.45, 0.55), (0.58, 0.42), (0.40, 0.40)]
     widths = [0.75, 0.60, 0.50, 0.42]
     amps = [1.0, 0.3, 0.15, 0.08]

@@ -306,6 +306,9 @@ class TestExitCodes:
         {"name": "gmres", "lambda_rule": "fixed", "lambda_value": math.inf},
         {"name": "lsqr", "use_discrepancy": True, "epsilon": math.inf},
         {"name": "lsqr", "theta": math.inf},
+        # json reads 1 followed by 400 zeros as an int no float can hold
+        pytest.param({"name": "lsqr", "epsilon": 10**400},
+                     id="name=lsqr-epsilon=10**400"),
         # keys the solver never reads
         {"name": "lsqr", "max_iters": 7},
         {"name": "svt", "kappa": 3},
@@ -349,6 +352,24 @@ class TestExitCodes:
         assert cli.run(path, out_dir=str(tmp_path / "o")) == 1
         key = list(spec)[1]
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, key", [
+        ({"n": 16, "n_angles": True, "detector_count": True}, "n_angles"),
+        ({"n": 0}, "n"),
+        ({"n": 16, "detector_count": 1e9}, "detector_count"),
+        ({"n": 16.0}, "n"),
+        ({"n": 16, "n_angles": 0}, "n_angles"),
+        ({"n": 16, "detector_count": -3}, "detector_count"),
+    ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items())
+        if isinstance(v, dict) else v)
+    def test_bad_phantom_size_is_exit_1(self, tmp_path, capsys, size, key):
+        cfg = base_config(problem=dict({"type": "phantom"}, **size),
+                          solvers=[{"name": "lsqr", "max_iter": 3}])
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+        assert f"{key} must be an integer >= 1" in capsys.readouterr().err
 
     def test_secant_on_noise_free_data_is_exit_1(self, tmp_path):
         # the noise norm, and with it the discrepancy level, is 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from lrkrylov.linops import (
     unvec,
     vec,
 )
+from lrkrylov.problems import phantom_problem
 
 
 def dense_adjoint(op):
@@ -108,7 +111,8 @@ class TestTomography:
         n, det = 12, 9
         angles = np.deg2rad(np.linspace(0.0, 135.0, 7))
         offsets = (np.arange(det) - (det - 1) / 2.0) * (n / det)
-        rows, cols, vals = trace_rays(n, angles, offsets)
+        indptr, cols, vals = trace_rays(n, angles, offsets)
+        rows = np.repeat(np.arange(7 * det), np.diff(indptr))
         want = sp.csr_matrix((vals, (rows, cols)), shape=(7 * det, n * n))
         op = tomography_operator(n, angles, det)
         assert np.array_equal(op.to_dense(), want.toarray())
@@ -117,6 +121,56 @@ class TestTomography:
             x, y = rng.standard_normal(n * n), rng.standard_normal(7 * det)
             assert np.array_equal(op.matvec(x), want @ x)
             assert np.array_equal(op.rmatvec(y), want.T.tocsr() @ y)
+
+    # SHA-256 of the little-endian bytes of each CSR array of A and A^T,
+    # recorded from the COO-triplet build that preceded the direct CSR one;
+    # any bit the tracer or the assembly moves fails here by name
+    DIGESTS = {
+        # the tomo-irn benchmark geometry: 60 angles over 90 degrees
+        (128, 60): {
+            "A.indptr": "25dc2355a687a0531a411452047d0ef1"
+                        "cf868d1362c45edcc757f069975963d9",
+            "A.indices": "960b38c19ea678b1388edcbb5408447e"
+                         "6c84ee8ffd79ea58d8b8d05ec84f0fbf",
+            "A.data": "e9a8d11b9d89c9b9383b546cbfcf6b18"
+                      "97764d6e803079ec28766cda94de3e2b",
+            "At.indptr": "1a9ea641f57112c0a9c0d6df2f815b98"
+                         "a3afedcd82772f42ef42093a1652268f",
+            "At.indices": "89037b482ca3cf681f9ec1eb3bf8aa39"
+                          "c888a62b23f70b4eb613bc13bde69367",
+            "At.data": "e5845d657d635d2ae175ecaa9c4a691a"
+                       "9c4ade5321fa789dcf55c56d3de9297c",
+        },
+        # the phantom of tests/answers.json
+        (32, 24): {
+            "A.indptr": "79e26a94e93d963efbf38b039f2f83c6"
+                        "e6c1b57e1180a0ee97802c30c378988e",
+            "A.indices": "76735f33b3dd7a7bfc2c2480afb6d1f0"
+                         "73006299d45f5dbc9098bc8dbb515c26",
+            "A.data": "61a8b7764e74264beddfc9754c7782e6"
+                      "684da8d3ac654e74b92fccdfb8997869",
+            "At.indptr": "79c57fc0761d5873985d3266ec993f40"
+                         "9388028ae5e60cbe0a8307e746c02886",
+            "At.indices": "ecaa540caa6b327a572fb437d3ee3b02"
+                          "65a94c5aceb67c801f9f91c45ada9a81",
+            "At.data": "9f8b9ad54a931c89a57e4edf47a49c38"
+                       "bbf3ba23b3c37060c1415462a33a6375",
+        },
+    }
+
+    @pytest.mark.parametrize("n, n_angles", sorted(DIGESTS))
+    def test_operator_bytes_are_pinned(self, n, n_angles):
+        op = phantom_problem(n, n_angles=n_angles).op
+        # the operator binds its CSR matrices as default arguments
+        matrices = {"A": op.apply.__defaults__[0],
+                    "At": op.apply_adjoint.__defaults__[0]}
+        got = {}
+        for m, X in matrices.items():
+            for part in ("indptr", "indices", "data"):
+                a = getattr(X, part)
+                little = a.astype(a.dtype.newbyteorder("<")).tobytes()
+                got[f"{m}.{part}"] = hashlib.sha256(little).hexdigest()
+        assert got == self.DIGESTS[n, n_angles]
 
     def test_empty_angles_rejected(self):
         with pytest.raises(ValueError):

@@ -20,13 +20,19 @@ def detector_offsets(n, detector_count):
     return (np.arange(detector_count) - (detector_count - 1) / 2.0) * spacing
 
 
+def row_of_entry(indptr):
+    """The row of each entry of a CSR matrix with row pointer indptr."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
 def assert_matches_oracle(n, angles, offsets):
-    rows, cols, vals = trace_rays(n, angles, offsets)
+    indptr, cols, vals = trace_rays(n, angles, offsets)
     o_rows, o_cols, o_vals = siddon_oracle.trace_rays(n, angles, offsets)
-    np.testing.assert_array_equal(rows, o_rows)
+    assert indptr.size == angles.size * offsets.size + 1
+    np.testing.assert_array_equal(row_of_entry(indptr), o_rows)
     np.testing.assert_array_equal(cols, o_cols)
     np.testing.assert_allclose(vals, o_vals, rtol=0, atol=VAL_TOL)
-    assert rows.dtype == cols.dtype == np.int64
+    assert cols.dtype == np.int32
     assert vals.dtype == np.float64
 
 
@@ -64,15 +70,25 @@ def test_matches_oracle(name):
 
 
 def test_axis_aligned_rays_have_unit_chords():
-    rows, cols, vals = trace_rays(8, np.array([0.0]), detector_offsets(8, 8))
+    indptr, cols, vals = trace_rays(8, np.array([0.0]),
+                                    detector_offsets(8, 8))
     np.testing.assert_allclose(vals, 1.0)
-    assert np.array_equal(np.bincount(rows), np.full(8, 8))
+    assert np.array_equal(np.diff(indptr), np.full(8, 8))
 
 
 def test_rays_missing_the_grid_are_empty():
-    rows, cols, vals = trace_rays(8, np.array([0.3, 1.2]),
-                                  np.array([-20.0, 20.0]))
-    assert rows.size == cols.size == vals.size == 0
+    indptr, cols, vals = trace_rays(8, np.array([0.3, 1.2]),
+                                    np.array([-20.0, 20.0]))
+    assert np.array_equal(indptr, np.zeros(5))
+    assert cols.size == vals.size == 0
+
+
+@pytest.mark.parametrize("angles, offsets", [([], [0.0, 1.0]), ([0.3], [])])
+def test_no_rays_give_an_empty_matrix(angles, offsets):
+    indptr, cols, vals = trace_rays(8, np.array(angles), np.array(offsets))
+    assert np.array_equal(indptr, [0])
+    assert cols.size == vals.size == 0
+    assert cols.dtype == np.int32 and vals.dtype == np.float64
 
 
 # rays near the axes and detectors on the half-integer lattice meet grid
