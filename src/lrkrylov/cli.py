@@ -43,8 +43,7 @@ def _hybrid(fn):
     # the low-rank solvers take their ranks kappa_B and kappa first
     return lambda p, cfg, stop, s: fn(
         p.op, p.b, *[s[k] for k in ("kappa_B", "kappa") if k in s],
-        cfg.max_iter, stop, krylov._LambdaRule(
-            cfg.lambda_rule, cfg.lambda_value, stop), p.x_exact)
+        cfg.max_iter, stop, cfg.lambda_rule, cfg.lambda_value, p.x_exact)
 
 
 def _irn(gkb):
@@ -68,8 +67,9 @@ _IRN = _keys("p", "max_outer", "max_inner", "tau_sigma", "lambda_rule",
 _FLEX_V = _keys("p", "max_iter", "lambda_rule", "lambda_value")
 _FLEX = dict(_FLEX_V, **_GAMMA)
 _RULES = ("zero", "fixed", "secant", "optimal")
-# the flexible solvers never project the exact solution, so "optimal" would
-# silently run them with lambda = 0; rs-lr-gmres and svt have no lambda
+# the flexible solvers never project the exact solution, which the optimal
+# rule aims at: validation rejects "optimal" for them, so that the run does
+# not fail later with exit 2; rs-lr-gmres and svt have no lambda
 _NO_OPT = _RULES[:3]
 SOLVERS = {
     "gmres": _Solver(_hybrid(krylov.gmres), True, _HYBRID, _RULES),

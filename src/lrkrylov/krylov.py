@@ -57,6 +57,7 @@ _BREAKDOWN_REL = 1e-12
 _REORTH = 1 / np.sqrt(2)  # a second pass when one leaves less of ||w||
 _LAMBDA_GRID = np.logspace(-16, 2, 37)  # trial lambdas of the optimal rule
 _GOLDEN_ITERS = 60  # golden-section steps that refine the best of them
+_LAMBDA_MAX = 1e10  # ceiling of the secant rule's lambda
 
 
 def _orthogonalize(w, Q):
@@ -253,7 +254,7 @@ def projected_tikhonov(Hk, beta, lambda_hat, svd=None):
     Returns (y, projected residual norm ||H y - beta e1||).  lambda = 0
     with rank-deficient H falls back to the minimum-norm solution.
     """
-    if lambda_hat < 0:
+    if not lambda_hat >= 0:  # written so that NaN fails
         raise ValueError("lambda_hat must be nonnegative")
     Hk = np.atleast_2d(np.asarray(Hk, dtype=float))
     svd = projected_svd(Hk, beta) if svd is None else svd
@@ -271,7 +272,7 @@ def _stop_from(stop):
     raise TypeError(f"unsupported stopping rule {stop!r}")
 
 
-def secant_lambda_update(history, epsilon, theta, h_norm2=1.0, lam_max=1e10):
+def secant_lambda_update(history, epsilon, theta, h_norm2=1.0):
     """Next regularization parameter from secant iteration on
     d(lambda) = residual(lambda) - theta * epsilon.
 
@@ -287,14 +288,14 @@ def secant_lambda_update(history, epsilon, theta, h_norm2=1.0, lam_max=1e10):
     if epsilon <= res_j <= target:
         return lam_j
     if len(history) == 1:
-        probe = min(1e-4 * h_norm2, lam_max)
+        probe = min(1e-4 * h_norm2, _LAMBDA_MAX)
         return probe if probe != lam_j else lam_j
     lam_p, res_p = history[-2]
     d_p = res_p - target
     if d_j == d_p:
         return lam_j
     lam = lam_j - d_j * (lam_j - lam_p) / (d_j - d_p)
-    return float(min(max(lam, 0.0), lam_max))
+    return float(min(max(lam, 0.0), _LAMBDA_MAX))
 
 
 def optimal_lambda_search(H, beta, target, svd=None):
@@ -341,12 +342,12 @@ class _LambdaRule:
 
     ``kind`` is one of zero / fixed / secant / optimal.  The secant rule
     aims at the discrepancy ``stop``, which it requires, and keeps a
-    (lambda, residual) history, so each inner cycle needs a fresh rule;
-    the optimal rule needs the exact solution projected on the current
-    basis.
+    (lambda, residual) history, so ``hybrid`` builds a fresh rule for each
+    call (each IRN inner cycle); the optimal rule needs the exact solution
+    projected on the current basis.
     """
 
-    def __init__(self, kind="zero", value=0.0, stop=None):
+    def __init__(self, kind, value, stop):
         if kind not in ("zero", "fixed", "secant", "optimal"):
             raise ValueError(f"unknown lambda rule {kind!r}")
         if kind == "secant" and stop is None:
@@ -356,7 +357,7 @@ class _LambdaRule:
         self.history = []
         self.current = value if kind == "fixed" else 0.0
 
-    def solve(self, H, beta, target=None):
+    def solve(self, H, beta, target):
         """Projected Tikhonov with the rule's current lambda; for the
         optimal rule, pick lambda minimizing ||target - y(lambda)||.
         Every lambda is served by one SVD of H.
@@ -375,30 +376,22 @@ class _LambdaRule:
         return y, resid, lam
 
 
-def _make_rule(lambda_rule, stop):
-    """A rule from None (zero), a number (fixed), a kind name or a rule."""
-    if isinstance(lambda_rule, _LambdaRule):
-        return lambda_rule
-    if lambda_rule is None:
-        return _LambdaRule("zero", stop=stop)
-    if isinstance(lambda_rule, (int, float)):
-        return _LambdaRule("fixed", value=float(lambda_rule), stop=stop)
-    return _LambdaRule(lambda_rule, stop=stop)
-
-
-def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
-           solution=None, x_target=None, x_exact=None, outer=0, after=None):
+def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
+           stop=None, precondition=None, solution=None, x_target=None,
+           x_exact=None, outer=0, after=None):
     """The hybrid projection loop of every Arnoldi/GKB solver.
 
     Step k expands the (flexible when ``precondition`` is given) Arnoldi
     or Golub-Kahan factorization of ``op`` from ``b``, solves the projected
-    Tikhonov problem with ``rule`` (the optimal rule aims at V_k^T
-    ``x_target``), maps Z_k y through ``solution``, records the iterate in
-    cycle ``outer`` of ``report`` and tests the stops; then, unless this
-    was the last step, ``after(x)`` runs.  A standard run with ``x_exact``
-    records errors from coefficients instead and builds x once, at the end
-    (module docstring).  Returns (x, projected residual, stop reason).
+    Tikhonov problem by a fresh ``lambda_rule`` (the optimal rule aims at
+    V_k^T ``x_target``; ``lambda_value`` is the fixed rule's), maps Z_k y
+    through ``solution``, records the iterate in cycle ``outer`` of
+    ``report`` and tests the stops; then, unless this was the last step,
+    ``after(x)`` runs.  A standard run with ``x_exact`` records errors from
+    coefficients instead and builds x once, at the end (module docstring).
+    Returns (x, projected residual, stop reason).
     """
+    rule = _LambdaRule(lambda_rule, lambda_value, stop)
     if rule.kind == "optimal" and x_target is None:
         raise ValueError("the optimal lambda rule needs the exact solution")
     state = (gkb_start if gkb else arnoldi_start)(op, b, max_iter)
@@ -454,29 +447,31 @@ def hybrid(op, b, max_iter, rule, report, gkb, stop=None, precondition=None,
     return x, resid, reason
 
 
-def run_hybrid(name, op, b, max_iter, stop, lambda_rule, x_exact, gkb,
-               **loop):
+def run_hybrid(name, op, b, max_iter, stop, lambda_rule, lambda_value,
+               x_exact, gkb, **loop):
     """A single-loop solve as a report: the ``hybrid`` loop, its stop
     reason, and the spectrum of the best iterate."""
     stop = _stop_from(stop)
-    rule = _make_rule(lambda_rule, stop)
     report = SolveReport(solver=name)
-    _, _, report.stop_reason = hybrid(op, b, max_iter, rule, report, gkb,
-                                      stop=stop, x_exact=x_exact, **loop)
+    _, _, report.stop_reason = hybrid(op, b, max_iter, report, gkb,
+                                      lambda_rule, lambda_value, stop=stop,
+                                      x_exact=x_exact, **loop)
     report.add_best_spectrum(op.image_side)
     return report
 
 
-def gmres(op, b, max_iter, stop=None, lambda_rule=None, x_exact=None):
+def gmres(op, b, max_iter, stop=None, lambda_rule="zero", lambda_value=0.0,
+          x_exact=None):
     """(Hybrid) GMRES via the Arnoldi factorization."""
-    return run_hybrid("gmres", op, b, max_iter, stop, lambda_rule, x_exact,
-                      gkb=False, x_target=x_exact)
+    return run_hybrid("gmres", op, b, max_iter, stop, lambda_rule,
+                      lambda_value, x_exact, gkb=False, x_target=x_exact)
 
 
-def lsqr(op, b, max_iter, stop=None, lambda_rule=None, x_exact=None):
+def lsqr(op, b, max_iter, stop=None, lambda_rule="zero", lambda_value=0.0,
+         x_exact=None):
     """(Hybrid) LSQR via Golub-Kahan bidiagonalization."""
-    return run_hybrid("lsqr", op, b, max_iter, stop, lambda_rule, x_exact,
-                      gkb=True, x_target=x_exact)
+    return run_hybrid("lsqr", op, b, max_iter, stop, lambda_rule,
+                      lambda_value, x_exact, gkb=True, x_target=x_exact)
 
 
 def _gram_solve(B, r):
@@ -546,19 +541,19 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
     return report
 
 
-def lr_fgmres(op, b, kappa_B, kappa, max_iter, stop=None, lambda_rule=None,
-              x_exact=None):
+def lr_fgmres(op, b, kappa_B, kappa, max_iter, stop=None,
+              lambda_rule="zero", lambda_value=0.0, x_exact=None):
     """Flexible GMRES with rank-truncated solution basis vectors."""
     return run_hybrid("lr-fgmres", op, b, max_iter, stop, lambda_rule,
-                      x_exact, gkb=False,
+                      lambda_value, x_exact, gkb=False,
                       precondition=lambda v: truncate(v, kappa_B),
                       solution=lambda x: truncate(x, kappa))
 
 
-def lr_flsqr(op, b, kappa_B, kappa, max_iter, stop=None, lambda_rule=None,
-             x_exact=None):
+def lr_flsqr(op, b, kappa_B, kappa, max_iter, stop=None,
+             lambda_rule="zero", lambda_value=0.0, x_exact=None):
     """Flexible LSQR with rank-truncated solution basis vectors."""
     return run_hybrid("lr-flsqr", op, b, max_iter, stop, lambda_rule,
-                      x_exact, gkb=True,
+                      lambda_value, x_exact, gkb=True,
                       precondition=lambda v: truncate(v, kappa_B),
                       solution=lambda x: truncate(x, kappa))

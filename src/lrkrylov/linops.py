@@ -20,8 +20,6 @@ __all__ = [
     "shaking_blur_operator",
     "tomography_operator",
     "inpainting_operator",
-    "identity_operator",
-    "from_dense",
 ]
 
 
@@ -64,10 +62,6 @@ class LinearOperator:
                 f"image_side^2 = {self.image_side ** 2} != cols = {self.cols}"
             )
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
         if x.size != self.cols:
@@ -79,42 +73,6 @@ class LinearOperator:
         if y.size != self.rows:
             raise ValueError(f"expected length {self.rows}, got {y.size}")
         return self.apply_adjoint(y)
-
-    def to_dense(self):
-        """Assemble the explicit matrix column by column (test-scale only)."""
-        A = np.empty((self.rows, self.cols))
-        e = np.zeros(self.cols)
-        for j in range(self.cols):
-            e[j] = 1.0
-            A[:, j] = self.apply(e)
-            e[j] = 0.0
-        return A
-
-
-def from_dense(A, image_side=None):
-    """Wrap an explicit matrix as a LinearOperator."""
-    A = np.asarray(A, dtype=float)
-    m, n_cols = A.shape
-    if image_side is None:
-        image_side = int(round(np.sqrt(n_cols)))
-    return LinearOperator(
-        rows=m,
-        cols=n_cols,
-        image_side=image_side,
-        apply=lambda x, A=A: A @ x,
-        apply_adjoint=lambda y, A=A: A.T @ y,
-    )
-
-
-def identity_operator(n):
-    N = n * n
-    return LinearOperator(
-        rows=N,
-        cols=N,
-        image_side=n,
-        apply=lambda x: np.array(x, dtype=float, copy=True),
-        apply_adjoint=lambda y: np.array(y, dtype=float, copy=True),
-    )
 
 
 def _blur_band_matrix(n, sigma, bandwidth):

@@ -1,5 +1,5 @@
-"""SVD-based primitives: rank truncation, singular value shrinkage, the
-smooth Schatten-p surrogate, and the reweighting transform built from
+"""SVD-based primitives: rank truncation, singular value shrinkage, and
+the reweighting transform of the smooth Schatten-p surrogate, built from
 Kronecker products of SVD factors.
 
 The weight matrix W = I (x) diag(w) and the orthogonal transform
@@ -19,8 +19,6 @@ __all__ = [
     "svd",
     "truncate",
     "shrink",
-    "smooth_schatten",
-    "smooth_schatten_gradient",
     "build_reweighter",
     "build_reweighter_from_basis",
     "identity_reweighter",
@@ -36,9 +34,6 @@ class SvdTriple:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-
-    def reconstruct(self):
-        return (self.U * self.sigma) @ self.V.T
 
 
 def svd(X):
@@ -76,23 +71,6 @@ def shrink(X, tau):
     return (f.U * np.maximum(f.sigma - tau, 0.0)) @ f.V.T
 
 
-def smooth_schatten(X, p, gamma):
-    """Smooth Schatten-p value Tr((X^T X + gamma I)^{p/2})."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    s = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
-    return float(np.sum((s * s + gamma) ** (p / 2.0)))
-
-
-def smooth_schatten_gradient(X, p, gamma):
-    """Gradient p (X X^T + gamma I)^{p/2 - 1} X, computed via the SVD."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    f = svd(X)
-    scale = p * (f.sigma**2 + gamma) ** (p / 2.0 - 1.0)
-    return (f.U * (scale * f.sigma)) @ f.V.T
-
-
 @dataclass(frozen=True)
 class Reweighter:
     """The pair (W, S) stored implicitly through SVD factors.
@@ -117,12 +95,11 @@ def identity_reweighter(n):
     return Reweighter(eye, eye, np.ones(n))
 
 
-def build_reweighter(Xk, p, gamma):
-    """Reweighter from the current iterate, or from its ``svd`` when the
-    caller has it: inverse weights (sigma_i^2 + gamma)^{1/2 - p/4}."""
+def build_reweighter(f, p, gamma):
+    """Reweighter from the ``svd`` f of the current iterate: inverse
+    weights (sigma_i^2 + gamma)^{1/2 - p/4}."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    f = Xk if isinstance(Xk, SvdTriple) else svd(Xk)
     inv_w = (f.sigma**2 + gamma) ** (0.5 - p / 4.0)
     return Reweighter(f.U, f.V, inv_w)
 
@@ -141,8 +118,6 @@ def build_reweighter_from_basis(v_i, p):
 
 def _weight_diag(rw, power):
     """Diagonal of W^power (power applied to the row index of unvec)."""
-    if power == 0:
-        return None
     with np.errstate(divide="ignore"):
         return rw.inv_weights ** (-power)
 
@@ -163,13 +138,9 @@ def apply_transform(rw, v, direction, weight_power=0):
     M = unvec(v, n)
     d = _weight_diag(rw, weight_power)
     if direction == "S":
-        out = rw.U.T @ M @ rw.V
-        if d is not None:
-            out = d[:, None] * out
+        out = d[:, None] * (rw.U.T @ M @ rw.V)
     elif direction == "S_transpose":
-        if d is not None:
-            M = d[:, None] * M
-        out = rw.U @ M @ rw.V.T
+        out = rw.U @ (d[:, None] * M) @ rw.V.T
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return vec(out)
@@ -180,7 +151,5 @@ def precondition(rw, v, weight_power):
     v = np.asarray(v, dtype=float)
     n = rw.side
     M = rw.U.T @ unvec(v, n) @ rw.V
-    d = _weight_diag(rw, weight_power)
-    if d is not None:
-        M = d[:, None] * M
+    M = _weight_diag(rw, weight_power)[:, None] * M
     return vec(rw.U @ M @ rw.V.T)

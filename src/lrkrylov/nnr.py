@@ -41,10 +41,10 @@ __all__ = [
 ]
 
 
-def is_count(c, top=None):
-    """True for an integer in [1, top] (JSON ``true`` is no count)."""
+def is_count(c, top=None, low=1):
+    """True for an integer in [low, top] (JSON ``true`` is no count)."""
     return (isinstance(c, numbers.Integral) and not isinstance(c, bool)
-            and c >= 1 and (top is None or c <= top))
+            and c >= low and (top is None or c <= top))
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,21 @@ def _reweighted_operator(op, rw, gkb, b):
     ), left(b)
 
 
-def reweighted_krylov_solve(op, b, reweighter, lambda_rule, n_steps,
-                            gkb=True, stop=None, report=None, outer=0,
-                            x_exact=None):
+def reweighted_krylov_solve(op, b, reweighter, n_steps, lambda_rule="zero",
+                            lambda_value=0.0, gkb=True, stop=None,
+                            report=None, outer=0, x_exact=None):
     """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair,
-    by Golub-Kahan (``gkb``) or Arnoldi.
-
-    ``lambda_rule`` is a fixed lambda, a rule kind or a rule.  Returns
-    (x, projected residual at the last step, stop reason).  Used as the
-    inner cycle of the IRN solvers and directly by the fixed-point tests.
+    by Golub-Kahan (``gkb``) or Arnoldi, under the lambda rule spelt as in
+    ``NnrConfig``.  Returns (x, projected residual at the last step, stop
+    reason).  The inner cycle of the IRN solvers and of the fixed-point
+    tests.
     """
     wop, b0 = _reweighted_operator(op, reweighter, gkb, b)
-    rule = krylov._make_rule(lambda_rule, stop)
     x_target = None
-    if rule.kind == "optimal" and x_exact is not None:
+    if lambda_rule == "optimal" and x_exact is not None:
         x_target = apply_transform(reweighter, x_exact, "S", 1)
     return krylov.hybrid(
-        wop, b0, n_steps, rule, report, gkb, stop=stop,
+        wop, b0, n_steps, report, gkb, lambda_rule, lambda_value, stop=stop,
         solution=lambda xh: apply_transform(reweighter, xh, "S_transpose",
                                             -1),
         x_target=x_target, x_exact=x_exact, outer=outer)
@@ -165,11 +163,10 @@ def irn_nnrp(op, b, config, gkb=True, x_exact=None):
     report = SolveReport(solver=f"irn-{'lsqr' if gkb else 'gmres'}-nnrp")
     prev_spectrum = None
     for k in range(config.max_outer):
-        rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value,
-                                  stop)
         x, _, reason = reweighted_krylov_solve(
-            op, b, rw, rule, config.max_inner, gkb=gkb, stop=stop,
-            report=report, outer=k, x_exact=x_exact,
+            op, b, rw, config.max_inner, config.lambda_rule,
+            config.lambda_value, gkb=gkb, stop=stop, report=report, outer=k,
+            x_exact=x_exact,
         )
         f = svd(unvec(x, n))  # one factorization: spectrum and weights
         spectrum = report.add_spectrum(k, f.sigma)
@@ -211,29 +208,28 @@ def flexible_nnrp(op, b, config, gkb=True, from_basis=False, x_exact=None):
         rw = build_reweighter(svd(unvec(x, n)), config.p, gamma)
 
     name = f"{'flsqr' if gkb else 'fgmres'}-nnrp{'-v' if from_basis else ''}"
-    rule = krylov._LambdaRule(config.lambda_rule, config.lambda_value, stop)
-    return krylov.run_hybrid(name, op, b, config.max_iter, stop, rule,
-                             x_exact, gkb=gkb, precondition=precond,
+    return krylov.run_hybrid(name, op, b, config.max_iter, stop,
+                             config.lambda_rule, config.lambda_value, x_exact,
+                             gkb=gkb, precondition=precond,
                              after=None if from_basis else after)
 
 
 def svt(op, b, tau, delta, max_iter, stop=None, x_exact=None):
     """Singular value thresholding baseline: alternate shrinkage with a
     dual gradient step on the constraint A x = b."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
+    if not delta > 0:
+        raise ValueError("the step size delta must be positive")
     b = np.asarray(b, dtype=float)
-    deltas = np.broadcast_to(np.asarray(delta, dtype=float), (max_iter,))
-    if np.any(deltas <= 0):
-        raise ValueError("step sizes must be positive")
     n = op.image_side
     y = np.zeros(op.rows)
     report = SolveReport(solver="svt")
-    for step in deltas:
+    for _ in range(max_iter):
         x = vec(shrink(unvec(op.rmatvec(y), n), tau))
         resid_vec = b - op.matvec(x)
         resid = np.linalg.norm(resid_vec)
-        y = y + step * resid_vec
+        y = y + delta * resid_vec
         report.record(0, x, resid, 0.0, x_exact)
         if stop is not None and stop.satisfied(resid):
             report.stop_reason = "discrepancy"

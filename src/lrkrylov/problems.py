@@ -62,6 +62,11 @@ def _add_noise(op, x_exact, noise_level, rng, seed):
     return TestProblem(op, b, b_exact, x_exact, noise_level, seed)
 
 
+def _check(key, value, ok, want):
+    if not ok:
+        raise ValueError(f"{key} must be {want}, got {value!r}")
+
+
 def _gaussian_profile(n, center, width):
     t = np.arange(n)
     return np.exp(-((t - center) ** 2) / (2.0 * width**2))
@@ -69,8 +74,10 @@ def _gaussian_profile(n, center, width):
 
 def star_problem(n, noise_level=1e-3, sigma_blur=2.0, seed=0, bandwidth=None):
     """Deblurring of an exactly rank-2 two-spot image."""
-    if n < 16:
-        raise ValueError("n must be at least 16")
+    _check("n", n, is_count(n, low=16), "an integer >= 16")
+    if bandwidth is not None:
+        _check("bandwidth", bandwidth, is_count(bandwidth, n, low=0),
+               f"an integer in [0, {n}]")
     rng = np.random.default_rng(seed)
     g1r = _gaussian_profile(n, 0.38 * n, 0.03 * n)
     g1c = _gaussian_profile(n, 0.44 * n, 0.03 * n)
@@ -102,8 +109,7 @@ def phantom_problem(n, noise_level=1e-2, angle_span_degrees=90.0,
         detector_count = n
     for key, value in (("n", n), ("n_angles", n_angles),
                        ("detector_count", detector_count)):
-        if not is_count(value):
-            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        _check(key, value, is_count(value), "an integer >= 1")
     centers = [(0.50, 0.50), (0.45, 0.55), (0.58, 0.42), (0.40, 0.40)]
     widths = [0.75, 0.60, 0.50, 0.42]
     amps = [1.0, 0.3, 0.15, 0.08]
@@ -173,8 +179,12 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
     or a path to a PGM file; ``pattern`` is "random" (i.i.d. Bernoulli
     missing pixels) or "structured" (seeded rectangles and disks).
     """
-    if rank_cap > n:
-        raise ValueError("rank_cap must not exceed n")
+    _check("n", n, is_count(n), "an integer >= 1")
+    _check("rank_cap", rank_cap, is_count(rank_cap, n),
+           f"an integer in [1, {n}]")
+    _check("blur_steps", blur_steps, is_count(blur_steps), "an integer >= 1")
+    _check("missing_fraction", missing_fraction, 0 <= missing_fraction < 1,
+           "in [0, 1)")
     rng = np.random.default_rng(seed)
     if image == "house-like":
         X = _house_texture(n)

@@ -1,0 +1,62 @@
+"""Dense helpers that only the tests use.
+
+Explicit-matrix operators and their assembly, the product of an SVD, and
+the smooth Schatten-p surrogate with its gradient, which the reweighter's
+weights are derived from.  They build dense n^2 x n^2 matrices or extra
+SVDs, so they stay out of the package.
+"""
+
+import numpy as np
+
+from lrkrylov.linops import LinearOperator
+from lrkrylov.lowrank import svd
+
+
+def from_dense(A, image_side=None):
+    """Wrap an explicit matrix as a LinearOperator."""
+    A = np.asarray(A, dtype=float)
+    m, n_cols = A.shape
+    if image_side is None:
+        image_side = int(round(np.sqrt(n_cols)))
+    return LinearOperator(m, n_cols, image_side, lambda x: A @ x,
+                          lambda y: A.T @ y)
+
+
+def identity_operator(n):
+    N = n * n
+    return LinearOperator(N, N, n,
+                          lambda x: np.array(x, dtype=float, copy=True),
+                          lambda y: np.array(y, dtype=float, copy=True))
+
+
+def to_dense(op):
+    """Assemble the explicit matrix of ``op`` column by column."""
+    A = np.empty((op.rows, op.cols))
+    e = np.zeros(op.cols)
+    for j in range(op.cols):
+        e[j] = 1.0
+        A[:, j] = op.apply(e)
+        e[j] = 0.0
+    return A
+
+
+def reconstruct(f):
+    """U diag(sigma) V^T of an ``SvdTriple``."""
+    return (f.U * f.sigma) @ f.V.T
+
+
+def smooth_schatten(X, p, gamma):
+    """Smooth Schatten-p value Tr((X^T X + gamma I)^{p/2})."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    s = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
+    return float(np.sum((s * s + gamma) ** (p / 2.0)))
+
+
+def smooth_schatten_gradient(X, p, gamma):
+    """Gradient p (X X^T + gamma I)^{p/2 - 1} X, computed via the SVD."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    f = svd(X)
+    scale = p * (f.sigma**2 + gamma) ** (p / 2.0 - 1.0)
+    return (f.U * (scale * f.sigma)) @ f.V.T

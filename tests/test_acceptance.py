@@ -20,14 +20,12 @@ from lrkrylov.krylov import (
     lsqr,
     rs_lr_gmres,
 )
-from lrkrylov.linops import from_dense, unvec, vec
+from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
     apply_transform,
     build_reweighter,
     precondition,
     shrink,
-    smooth_schatten,
-    smooth_schatten_gradient,
     svd,
     truncate,
 )
@@ -43,6 +41,13 @@ from lrkrylov.problems import (
     star_problem,
 )
 from lrkrylov.report import Discrepancy, SolveReport
+
+from dense import (
+    from_dense,
+    smooth_schatten,
+    smooth_schatten_gradient,
+    to_dense,
+)
 
 
 def _pass(number, message):
@@ -94,7 +99,7 @@ def test_02_factorization_residuals():
     ]
     worst = 0.0
     for label, op, b in cases:
-        A = op.to_dense()
+        A = to_dense(op)
         trunc = lambda v: truncate(v, 5)
         for precond in (None, trunc):
             state = arnoldi_start(op, b, 30)
@@ -159,14 +164,15 @@ def test_04_reweighted_solve_reaches_fixed_point():
     A = rng.standard_normal((n * n, n * n))
     op = from_dense(A, n)
     b = rng.standard_normal(n * n)
-    rw = build_reweighter(rng.standard_normal((n, n)), 1.0, 1e-2)
+    rw = build_reweighter(svd(rng.standard_normal((n, n))), 1.0, 1e-2)
     lam = 0.1
     S = np.kron(rw.V.T, rw.U.T)
     W = np.diag(np.tile(1.0 / rw.inv_weights, n))
     x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
     worst = 0.0
     for gkb in (True, False):
-        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n, gkb=gkb)
+        x, _, _ = reweighted_krylov_solve(op, b, rw, n * n, "fixed", lam,
+                                          gkb=gkb)
         worst = max(worst,
                     np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle))
     assert worst <= 1e-6
@@ -176,7 +182,7 @@ def test_04_reweighted_solve_reaches_fixed_point():
 
 def test_05_implicit_transform_matches_kronecker():
     rng = np.random.default_rng(103)
-    rw = build_reweighter(rng.standard_normal((4, 4)), 0.75, 1e-2)
+    rw = build_reweighter(svd(rng.standard_normal((4, 4))), 0.75, 1e-2)
     S = np.kron(rw.V.T, rw.U.T)
     W_diag = np.tile(1.0 / rw.inv_weights, 4)
     worst = 0.0
@@ -221,7 +227,7 @@ def test_06_irn_weights_apply_the_surrogate_gradient():
     worst = 0.0
     for p, gamma in ((1.0, 1e-2), (0.75, 1.0), (0.5, 1e-6)):
         want = vec(smooth_schatten_gradient(X, p, gamma)) / p
-        got = precondition(build_reweighter(X, p, gamma), vec(X), 2)
+        got = precondition(build_reweighter(svd(X), p, gamma), vec(X), 2)
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     assert worst <= 1e-12
     _pass(6, f"IRN weights S^T W^2 S X equal the surrogate gradient over p "

@@ -371,6 +371,35 @@ class TestExitCodes:
         assert not (out / "summary.json").exists()
         assert f"{key} must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, key", [
+        ({"type": "star", "n": 8}, "n"),
+        ({"type": "star", "n": True}, "n"),
+        ({"type": "star", "n": 16, "bandwidth": True}, "bandwidth"),
+        ({"type": "star", "n": 16, "bandwidth": -1}, "bandwidth"),
+        ({"type": "star", "n": 16, "bandwidth": 17}, "bandwidth"),
+        ({"type": "inpainting", "n": 0}, "n"),
+        ({"type": "inpainting", "n": 16, "rank_cap": True}, "rank_cap"),
+        ({"type": "inpainting", "n": 16, "rank_cap": 0}, "rank_cap"),
+        ({"type": "inpainting", "n": 16, "rank_cap": 8, "blur_steps": True},
+         "blur_steps"),
+        ({"type": "inpainting", "n": 16, "rank_cap": 8, "blur_steps": -3},
+         "blur_steps"),
+        ({"type": "inpainting", "n": 16, "rank_cap": 8,
+          "missing_fraction": 1.5}, "missing_fraction"),
+    ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items())
+        if isinstance(v, dict) else v)
+    def test_bad_star_or_inpainting_size_is_exit_1(self, tmp_path, capsys,
+                                                   problem, key):
+        # unchecked, these would run silently (rank 1, a 1-step identity
+        # blur, one kept pixel) or blame another key
+        cfg = base_config(problem=problem,
+                          solvers=[{"name": "lsqr", "max_iter": 3}])
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+        assert f"problem: {key} must be" in capsys.readouterr().err
+
     def test_secant_on_noise_free_data_is_exit_1(self, tmp_path):
         # the noise norm, and with it the discrepancy level, is 0
         cfg = base_config(problem={"type": "star", "n": 16, "seed": 0,

@@ -14,10 +14,11 @@ from lrkrylov.krylov import (
     projected_tikhonov,
     rs_lr_gmres,
 )
-from lrkrylov.linops import from_dense, identity_operator
 from lrkrylov.lowrank import truncate
 from lrkrylov.problems import inpainting_problem, phantom_problem, star_problem
 from lrkrylov.report import Discrepancy, SolveReport
+
+from dense import from_dense, identity_operator, to_dense
 
 
 def random_square_op(n_side, seed, shift=0.0):
@@ -131,7 +132,7 @@ class TestGolubKahan:
         # one-pass CGS reaches 3e-10 off the band), and the local
         # coefficients must come back into the factorization
         prob = star_problem(16, seed=0)
-        A = prob.op.to_dense()
+        A = to_dense(prob.op)
         state = gkb_start(prob.op, prob.b, 200)
         for _ in range(200):
             gkb_step(state, prob.op)
@@ -270,6 +271,14 @@ class TestProjectedTikhonov:
         with pytest.raises(ValueError):
             projected_tikhonov(np.eye(2), 1.0, -1e-3)
 
+    def test_nan_lambda_rejected(self):
+        # NaN would take the lambda = 0 filter and be recorded as the lambda
+        with pytest.raises(ValueError, match="lambda_hat"):
+            projected_tikhonov(np.eye(2), 1.0, np.nan)
+        prob = star_problem(16, seed=0)
+        with pytest.raises(ValueError, match="lambda_hat"):
+            lsqr(prob.op, prob.b, 3, lambda_rule="fixed", lambda_value=np.nan)
+
 
 class TestGmresLsqr:
     def test_gmres_identity_solves_in_one_step(self):
@@ -404,9 +413,9 @@ class TestCoefficientErrors:
 
         def run(solution):
             report = SolveReport()
-            x, _, _ = krylov.hybrid(prob.op, prob.b, self.steps,
-                                    krylov._LambdaRule(), report, gkb,
-                                    solution=solution, x_exact=prob.x_exact)
+            x, _, _ = krylov.hybrid(prob.op, prob.b, self.steps, report,
+                                    gkb, solution=solution,
+                                    x_exact=prob.x_exact)
             assert x is report.final_x
             return report
 

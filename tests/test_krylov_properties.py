@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrkrylov.krylov import arnoldi_start, arnoldi_step, gkb_start, gkb_step
-from lrkrylov.linops import from_dense, identity_operator
 from lrkrylov.lowrank import truncate
+
+from dense import from_dense, identity_operator
 
 PRECONDITIONERS = st.sampled_from([None, lambda v: truncate(v, 2)])
 

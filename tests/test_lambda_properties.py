@@ -24,7 +24,8 @@ from lrkrylov.krylov import (
     projected_svd,
     projected_tikhonov,
 )
-from lrkrylov.linops import from_dense
+
+from dense import from_dense
 from tikhonov_oracle import projected_tikhonov as oracle
 
 SIDE = 7

@@ -9,7 +9,6 @@ from lrkrylov._tomo_kernels import trace_rays
 from lrkrylov.linops import (
     _blur_band_matrix,
     gaussian_blur_operator,
-    identity_operator,
     inpainting_operator,
     shaking_blur_operator,
     tomography_operator,
@@ -17,6 +16,8 @@ from lrkrylov.linops import (
     vec,
 )
 from lrkrylov.problems import phantom_problem
+
+from dense import identity_operator, to_dense
 
 
 def dense_adjoint(op):
@@ -88,7 +89,7 @@ class TestTomography:
         # at angle 0 each ray runs along one pixel column with unit chords
         op = tomography_operator(4, [0.0], 4)
         assert np.allclose(op.matvec(np.ones(16)), 4.0)
-        A = op.to_dense()
+        A = to_dense(op)
         for k in range(4):
             col = unvec(A[k], 4)[:, k]
             assert np.allclose(col, 1.0)
@@ -101,7 +102,7 @@ class TestTomography:
     def test_adjoint_consistency(self):
         op = tomography_operator(16, np.linspace(0, np.pi, 10,
                                                  endpoint=False), 16)
-        A = op.to_dense()
+        A = to_dense(op)
         assert np.linalg.norm(A.T - dense_adjoint(op)) <= 1e-10
 
     def test_matches_coo_construction(self):
@@ -115,7 +116,7 @@ class TestTomography:
         rows = np.repeat(np.arange(7 * det), np.diff(indptr))
         want = sp.csr_matrix((vals, (rows, cols)), shape=(7 * det, n * n))
         op = tomography_operator(n, angles, det)
-        assert np.array_equal(op.to_dense(), want.toarray())
+        assert np.array_equal(to_dense(op), want.toarray())
         rng = np.random.default_rng(0)
         for _ in range(5):
             x, y = rng.standard_normal(n * n), rng.standard_normal(7 * det)
@@ -192,7 +193,7 @@ class TestInpainting:
         mask = np.zeros(65536, dtype=bool)
         mask[:27395] = True
         op = inpainting_operator(256, mask, identity_operator(256))
-        assert op.shape == (27395, 65536)
+        assert (op.rows, op.cols) == (27395, 65536)
 
     def test_composite_matches_two_steps(self):
         blur = gaussian_blur_operator(16, 1.0, 3)
@@ -231,7 +232,7 @@ def test_shaking_blur_forward_values(n, n_steps, seed, reach):
     walk = _walk(n_steps, seed)
     assert max(abs(d) for step in walk for d in step) == reach
     A = sum(np.kron(np.eye(n, k=-dj), np.eye(n, k=-di)) for di, dj in walk)
-    got = shaking_blur_operator(n, n_steps, seed).to_dense()
+    got = to_dense(shaking_blur_operator(n, n_steps, seed))
     assert np.allclose(got, A / len(walk), rtol=0, atol=1e-15)
 
 
@@ -247,6 +248,6 @@ def test_shaking_blur_forward_values(n, n_steps, seed, reach):
 ])
 def test_adjoint_of_generated_operators(make_op):
     op = make_op()
-    A = op.to_dense()
+    A = to_dense(op)
     assert np.linalg.norm(A.T - dense_adjoint(op)) <= 1e-10
     assert np.all(op.matvec(np.zeros(op.cols)) == 0)

@@ -12,11 +12,11 @@ from lrkrylov.lowrank import (
     identity_reweighter,
     precondition,
     shrink,
-    smooth_schatten,
-    smooth_schatten_gradient,
     svd,
     truncate,
 )
+
+from dense import reconstruct, smooth_schatten, smooth_schatten_gradient
 
 square = arrays(np.float64, (4, 4),
                 elements=st.floats(-10, 10, allow_nan=False))
@@ -39,7 +39,7 @@ class TestSvd:
 
     def test_reconstruct(self):
         X = np.random.default_rng(1).standard_normal((5, 5))
-        assert np.allclose(svd(X).reconstruct(), X, atol=1e-12)
+        assert np.allclose(reconstruct(svd(X)), X, atol=1e-12)
 
     def test_sign_convention_deterministic(self):
         X = np.random.default_rng(2).standard_normal((5, 5))
@@ -167,14 +167,14 @@ class TestReweighter:
 
     def test_identity_iterate_gives_scalar_weights(self):
         p, gamma = 0.8, 0.5
-        rw = build_reweighter(np.eye(4), p, gamma)
+        rw = build_reweighter(svd(np.eye(4)), p, gamma)
         v = np.random.default_rng(10).standard_normal(16)
         scale = (1 + gamma) ** (-2 * (p / 4 - 0.5))
         assert np.allclose(precondition(rw, v, -2), scale * v, atol=1e-12)
 
     def test_transform_is_orthogonal(self):
         rw = build_reweighter(
-            np.random.default_rng(11).standard_normal((4, 4)), 1.0, 1e-2)
+            svd(np.random.default_rng(11).standard_normal((4, 4))), 1.0, 1e-2)
         v = np.random.default_rng(12).standard_normal(16)
         s = apply_transform(rw, v, "S")
         assert np.isclose(np.linalg.norm(s), np.linalg.norm(v))
@@ -184,7 +184,7 @@ class TestReweighter:
     @pytest.mark.parametrize("power", [-2, -1, 0, 1])
     def test_matches_explicit_kronecker(self, power):
         rng = np.random.default_rng(13)
-        rw = build_reweighter(rng.standard_normal((4, 4)), 0.75, 1e-2)
+        rw = build_reweighter(svd(rng.standard_normal((4, 4))), 0.75, 1e-2)
         S, W_diag = explicit_pair(rw)
         for _ in range(10):
             v = rng.standard_normal(16)
@@ -196,7 +196,7 @@ class TestReweighter:
 
     def test_composed_powers(self):
         rw = build_reweighter(
-            np.random.default_rng(14).standard_normal((5, 5)), 1.0, 0.1)
+            svd(np.random.default_rng(14).standard_normal((5, 5))), 1.0, 0.1)
         v = np.random.default_rng(15).standard_normal(25)
         twice = precondition(rw, precondition(rw, v, -1), -1)
         assert np.allclose(twice, precondition(rw, v, -2), atol=1e-12)
@@ -210,7 +210,7 @@ class TestReweighter:
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
-            build_reweighter(np.eye(3), 1.0, 0.0)
+            build_reweighter(svd(np.eye(3)), 1.0, 0.0)
 
 
 class TestBasisVariantReweighter:

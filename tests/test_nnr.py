@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lrkrylov import krylov, nnr
-from lrkrylov.linops import from_dense, unvec, vec
+from lrkrylov import cli, krylov, nnr
+from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
     build_reweighter,
     identity_reweighter,
@@ -21,6 +21,8 @@ from lrkrylov.nnr import (
 )
 from lrkrylov.problems import star_problem
 from lrkrylov.report import Discrepancy, SolveReport
+
+from dense import from_dense, to_dense
 
 
 class TestStoppingRules:
@@ -85,7 +87,7 @@ class TestSecant:
         hist = [(0.0, 10.0), (1.0, 11.0)]  # secant step goes negative
         assert secant_lambda_update(hist, 1.0, 1.01) == 0.0
         hist = [(0.0, 10.0), (1.0, 10.0 - 1e-12)]
-        assert secant_lambda_update(hist, 1.0, 1.01, lam_max=1e10) <= 1e10
+        assert secant_lambda_update(hist, 1.0, 1.01) == krylov._LAMBDA_MAX
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
@@ -116,12 +118,12 @@ class TestReweightedSolve:
         A = rng.standard_normal((n * n, n * n))
         op = from_dense(A, n)
         b = rng.standard_normal(n * n)
-        rw = build_reweighter(rng.standard_normal((n, n)), 1.0, 1e-2)
+        rw = build_reweighter(svd(rng.standard_normal((n, n))), 1.0, 1e-2)
         lam = 0.1
         S = np.kron(rw.V.T, rw.U.T)
         W = np.diag(np.tile(1.0 / rw.inv_weights, n))
         x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
-        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n,
+        x, _, _ = reweighted_krylov_solve(op, b, rw, n * n, "fixed", lam,
                                           gkb=inner == "gkb")
         assert np.linalg.norm(x - x_oracle) <= 1e-6 * np.linalg.norm(x_oracle)
 
@@ -135,7 +137,7 @@ class TestReweightedSolve:
         rw = identity_reweighter(n)
         lam = 0.05
         want = np.linalg.solve(A.T @ A + lam * np.eye(n * n), A.T @ b)
-        x, _, _ = reweighted_krylov_solve(op, b, rw, lam, n * n,
+        x, _, _ = reweighted_krylov_solve(op, b, rw, n * n, "fixed", lam,
                                           gkb=inner == "gkb")
         assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -144,39 +146,22 @@ class TestReweightedSolve:
         rng = np.random.default_rng(2)
         n = 5
         op = from_dense(rng.standard_normal((n * n, n * n)), n)
-        rw = build_reweighter(rng.standard_normal((n, n)), 1.0, 1e-2)
+        rw = build_reweighter(svd(rng.standard_normal((n, n))), 1.0, 1e-2)
         b = rng.standard_normal(n * n)
         wop, b0 = nnr._reweighted_operator(op, rw, inner == "gkb", b)
-        A_hat = wop.to_dense()
+        A_hat = to_dense(wop)
         adj = np.column_stack([wop.rmatvec(e) for e in np.eye(n * n)])
         assert np.linalg.norm(adj - A_hat.T) <= 1e-10 * np.linalg.norm(A_hat)
         S = np.kron(rw.V.T, rw.U.T)
         left = S if inner == "arnoldi" else np.eye(n * n)
         W_inv = np.diag(np.tile(rw.inv_weights, n))
-        want = left @ op.to_dense() @ S.T @ W_inv
+        want = left @ to_dense(op) @ S.T @ W_inv
         assert np.linalg.norm(A_hat - want) <= 1e-10 * np.linalg.norm(want)
         assert np.allclose(b0, left @ b, atol=1e-12)
 
-    @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
-    @pytest.mark.parametrize("given,kind,value", [
-        ("optimal", "optimal", 0.0), (0.1, "fixed", 0.1)])
-    def test_lambda_rule_is_a_value_a_kind_or_a_rule(self, inner, given,
-                                                     kind, value):
-        prob = star_problem(16, noise_level=1e-1, seed=2)
-        rw = build_reweighter(unvec(prob.x_exact + 0.01, 16), 1.0, 1e-2)
-        reps = [SolveReport(), SolveReport()]
-        xs = [reweighted_krylov_solve(prob.op, prob.b, rw, rule, 8,
-                                      gkb=inner == "gkb", report=rep,
-                                      x_exact=prob.x_exact)[0]
-              for rule, rep in zip(
-                  (given, krylov._LambdaRule(kind, value)), reps)]
-        assert np.array_equal(xs[0], xs[1])
-        assert reps[0].lambdas == reps[1].lambdas
-
     def test_projected_residual_is_true_residual(self):
         prob = star_problem(16, noise_level=1e-3, seed=2)
-        rw = build_reweighter(unvec(prob.x_exact, 16), 1.0, 1e-2)
-        from lrkrylov.report import SolveReport
+        rw = build_reweighter(svd(unvec(prob.x_exact, 16)), 1.0, 1e-2)
         rep = SolveReport(solver="probe")
         xs = []
         orig = SolveReport.record
@@ -187,13 +172,36 @@ class TestReweightedSolve:
 
         SolveReport.record = spy
         try:
-            reweighted_krylov_solve(prob.op, prob.b, rw, 0.0, 10,
-                                    gkb=False, report=rep)
+            reweighted_krylov_solve(prob.op, prob.b, rw, 10, gkb=False,
+                                    report=rep)
         finally:
             SolveReport.record = orig
         for x, resid in xs:
             true = np.linalg.norm(prob.b - prob.op.matvec(x))
             assert abs(true - resid) <= 1e-8 * max(true, 1.0)
+
+
+@pytest.mark.parametrize("rule,value", [("fixed", 1e-3), ("optimal", 0.0)])
+@pytest.mark.parametrize("name", ["lsqr", "irn-lsqr-nnrp", "irn-gmres-nnrp"])
+def test_cli_and_python_api_spell_the_rule_alike(name, rule, value):
+    # the CLI keys and the Python arguments are the same (lambda_rule,
+    # lambda_value) pair, and give the same run bit for bit
+    prob = star_problem(16, noise_level=1e-2, seed=3)
+    pair = {"lambda_rule": rule, "lambda_value": value}
+    if name == "lsqr":
+        spec = dict(pair, max_iter=8)
+        direct = krylov.lsqr(prob.op, prob.b, 8, x_exact=prob.x_exact, **pair)
+    else:
+        spec = dict(pair, max_outer=2, max_inner=6)
+        direct = irn_nnrp(prob.op, prob.b,
+                          NnrConfig(epsilon=prob.noise_norm, **spec),
+                          gkb=name == "irn-lsqr-nnrp", x_exact=prob.x_exact)
+    via_cli = cli.run_solver(dict(spec, name=name), prob)
+    assert np.array_equal(via_cli.final_x, direct.final_x)
+    assert via_cli.lambdas == direct.lambdas
+    assert via_cli.residuals == direct.residuals
+    if rule == "fixed":
+        assert set(direct.lambdas) == {value}
 
 
 class TestIrnSolvers:
@@ -324,6 +332,11 @@ class TestSvt:
             svt(prob.op, prob.b, 0.0, 0.5, 5)
         with pytest.raises(ValueError):
             svt(prob.op, prob.b, 1.0, -0.5, 5)
+        # NaN is no positive number: each check is written so that it fails
+        with pytest.raises(ValueError, match="tau"):
+            svt(prob.op, prob.b, np.nan, 0.5, 5)
+        with pytest.raises(ValueError, match="delta"):
+            svt(prob.op, prob.b, 1.0, np.nan, 5)
 
 
 def test_secant_rule_inside_gmres_lands_in_band():

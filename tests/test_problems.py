@@ -18,6 +18,10 @@ def numeric_rank(x, n):
 
 
 class TestStar:
+    def test_zero_bandwidth_is_no_blur(self):
+        x = np.arange(256.0)
+        assert np.array_equal(star_problem(16, bandwidth=0).op.matvec(x), x)
+
     def test_exact_rank_two(self):
         prob = star_problem(32, seed=0)
         assert numeric_rank(prob.x_exact, 32) == 2
@@ -118,6 +122,11 @@ class TestInpainting:
     def test_rank_cap_above_n_rejected(self):
         with pytest.raises(ValueError):
             inpainting_problem("house-like", n=32, rank_cap=64)
+
+    def test_edges_of_the_valid_ranges_build(self):
+        prob = inpainting_problem(n=16, rank_cap=16, missing_fraction=0.0,
+                                  blur_steps=1)
+        assert prob.op.rows == prob.op.cols == 256
 
     def test_image_from_pgm_file(self, tmp_path):
         X = np.random.default_rng(3).random((32, 32))
