@@ -170,14 +170,14 @@ def _write_report(report, name, problem, outdir, emit_images, emit_spectra):
                            unvec(report.best_x, problem.op.image_side))
 
 
-def _cross_check_residuals(report, problem, tol=1e-8):
+def _cross_check_residuals(report, problem):
     """Recompute the true residual of the final iterate and compare to the
     recorded projected value."""
     if report.final_x is None or not report.residuals:
         return
     true = np.linalg.norm(problem.b - problem.op.matvec(report.final_x))
     scale = max(np.linalg.norm(problem.b), 1.0)
-    if abs(true - report.residuals[-1]) > tol * scale:
+    if abs(true - report.residuals[-1]) > 1e-8 * scale:
         raise RuntimeError(
             f"{report.solver}: projected residual {report.residuals[-1]:.3e} "
             f"disagrees with true residual {true:.3e}")
@@ -314,11 +314,8 @@ def main(argv=None):
     runp.add_argument("--validate-only", action="store_true",
                       help="parse and echo the config without computing")
     runp.add_argument("--seed-override", type=int, default=None)
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.config, args.out, args.validate_only,
-                   args.seed_override)
-    return 1
+    args = parser.parse_args(argv)  # "run" is the only command
+    return run(args.config, args.out, args.validate_only, args.seed_override)
 
 
 if __name__ == "__main__":

@@ -247,21 +247,18 @@ def _filtered(svd, lambda_hat):
     return np.where(keep, c, 0.0) / np.where(keep, s, 1.0)
 
 
-def projected_tikhonov(Hk, beta, lambda_hat, svd=None):
-    """Solve min ||H y - beta e1||^2 + lambda ||y||^2 by SVD filtering.
-
-    ``svd`` is H's ``projected_svd`` when the caller already has it.
-    Returns (y, projected residual norm ||H y - beta e1||).  lambda = 0
-    with rank-deficient H falls back to the minimum-norm solution.
+def projected_tikhonov(H, beta, lambda_hat, svd):
+    """Solve min ||H y - beta e1||^2 + lambda ||y||^2 by SVD filtering,
+    given ``svd = projected_svd(H, beta)``.  Returns (y, projected
+    residual norm ||H y - beta e1||); lambda = 0 with rank-deficient H
+    falls back to the minimum-norm solution.
     """
     if not lambda_hat >= 0:  # written so that NaN fails
         raise ValueError("lambda_hat must be nonnegative")
-    Hk = np.atleast_2d(np.asarray(Hk, dtype=float))
-    svd = projected_svd(Hk, beta) if svd is None else svd
     y = svd[1] @ _filtered(svd, lambda_hat)
-    rhs = np.zeros(Hk.shape[0])
+    rhs = np.zeros(H.shape[0])
     rhs[0] = beta
-    return y, float(np.linalg.norm(Hk @ y - rhs))
+    return y, float(np.linalg.norm(H @ y - rhs))
 
 
 def _stop_from(stop):
@@ -272,13 +269,14 @@ def _stop_from(stop):
     raise TypeError(f"unsupported stopping rule {stop!r}")
 
 
-def secant_lambda_update(history, epsilon, theta, h_norm2=1.0):
+def secant_lambda_update(history, epsilon, theta, h_norm2):
     """Next regularization parameter from secant iteration on
     d(lambda) = residual(lambda) - theta * epsilon.
 
     ``history`` holds (lambda_j, residual_j) pairs, oldest first.
     Bootstrap: lambda_0 = 0 by convention; if its residual misses the
-    band [epsilon, theta * epsilon], probe lambda_1 = 1e-4 * h_norm2.
+    band [epsilon, theta * epsilon], probe lambda_1 = 1e-4 ||H||_F^2,
+    where ``h_norm2`` = ||H||_F^2 of the projected matrix H.
     """
     if not history:
         raise ValueError("need at least one (lambda, residual) pair")
@@ -288,8 +286,7 @@ def secant_lambda_update(history, epsilon, theta, h_norm2=1.0):
     if epsilon <= res_j <= target:
         return lam_j
     if len(history) == 1:
-        probe = min(1e-4 * h_norm2, _LAMBDA_MAX)
-        return probe if probe != lam_j else lam_j
+        return min(1e-4 * h_norm2, _LAMBDA_MAX)
     lam_p, res_p = history[-2]
     d_p = res_p - target
     if d_j == d_p:
@@ -298,11 +295,11 @@ def secant_lambda_update(history, epsilon, theta, h_norm2=1.0):
     return float(min(max(lam, 0.0), _LAMBDA_MAX))
 
 
-def optimal_lambda_search(H, beta, target, svd=None):
+def optimal_lambda_search(svd, target):
     """Minimize ||target - y(lambda)|| over a log grid refined by
-    golden-section search (test-harness oracle).  A trial costs O(k): for
-    a tall H, Q is square and ||target - Q f|| = ||Q^T target - f||."""
-    svd = projected_svd(H, beta) if svd is None else svd
+    golden-section search (test-harness oracle); y(lambda) is filtered
+    from ``svd = projected_svd(H, beta)``.  A trial costs O(k): for a tall
+    H, Q is square and ||target - Q f|| = ||Q^T target - f||."""
     t = svd[1].T @ target
 
     def err(lam):
@@ -312,9 +309,7 @@ def optimal_lambda_search(H, beta, target, svd=None):
     vals = [err(g) for g in grid]
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if lo >= hi:
-        return float(grid[i])
+    hi = grid[min(i + 1, len(grid) - 1)]  # lo < hi: the grid increases
     # golden section on log(lambda)
     a, b = np.log(lo), np.log(hi)
     phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -364,9 +359,9 @@ class _LambdaRule:
         Returns (y, projected residual, lambda used)."""
         svd = projected_svd(H, beta)
         if self.kind == "optimal":
-            self.current = optimal_lambda_search(H, beta, target, svd=svd)
+            self.current = optimal_lambda_search(svd, target)
         lam = self.current
-        y, resid = projected_tikhonov(H, beta, lam, svd=svd)
+        y, resid = projected_tikhonov(H, beta, lam, svd)
         if self.kind == "secant":
             self.history.append((lam, resid))
             self.current = secant_lambda_update(
@@ -389,7 +384,7 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     ``report`` and tests the stops; then, unless this was the last step,
     ``after(x)`` runs.  A standard run with ``x_exact`` records errors from
     coefficients instead and builds x once, at the end (module docstring).
-    Returns (x, projected residual, stop reason).
+    Returns (x, stop reason).
     """
     rule = _LambdaRule(lambda_rule, lambda_value, stop)
     if rule.kind == "optimal" and x_target is None:
@@ -399,12 +394,12 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
     # r_j = r_{j-1} - t_j z_j from r_0 = x_exact, the error of Z_k y is
     # sqrt(||r_k||^2 + ||t - y||^2), one dot product and one axpy a column
-    coeffs = (report is not None and x_exact is not None
-              and precondition is None and solution is None and after is None)
+    coeffs = (x_exact is not None and precondition is None
+              and solution is None and after is None)
     if coeffs:
         r, t = np.array(x_exact, dtype=float), []
         scale = np.linalg.norm(r)
-    x, resid, reason = np.zeros(op.cols), state.beta, "max_iter"
+    x, reason = np.zeros(op.cols), "max_iter"
     last = best = None  # (k, y) of the iterates the coefficient path keeps
     for it in range(1, max_iter + 1):
         step(state, op, precondition)
@@ -429,8 +424,7 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
             x = state.Z_mat() @ y  # not kept: one assembled basis at a time
             if solution is not None:
                 x = solution(x)
-            if report is not None:
-                report.record(outer, x, resid, lam, x_exact)
+            report.record(outer, x, resid, lam, x_exact)
         if stop is not None and stop.satisfied(resid):
             reason = "discrepancy"
             break
@@ -444,7 +438,7 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
         if best is not None:
             report.best_x = (x if best is last
                              else state.Z_mat()[:, : best[0]] @ best[1])
-    return x, resid, reason
+    return x, reason
 
 
 def run_hybrid(name, op, b, max_iter, stop, lambda_rule, lambda_value,
@@ -453,9 +447,9 @@ def run_hybrid(name, op, b, max_iter, stop, lambda_rule, lambda_value,
     reason, and the spectrum of the best iterate."""
     stop = _stop_from(stop)
     report = SolveReport(solver=name)
-    _, _, report.stop_reason = hybrid(op, b, max_iter, report, gkb,
-                                      lambda_rule, lambda_value, stop=stop,
-                                      x_exact=x_exact, **loop)
+    _, report.stop_reason = hybrid(op, b, max_iter, report, gkb,
+                                   lambda_rule, lambda_value, stop=stop,
+                                   x_exact=x_exact, **loop)
     report.add_best_spectrum(op.image_side)
     return report
 

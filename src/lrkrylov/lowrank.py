@@ -65,7 +65,7 @@ def truncate(c, kappa):
 
 def shrink(X, tau):
     """Singular value shrinkage D_tau(X) = U max(Sigma - tau, 0) V^T."""
-    if tau < 0:
+    if not tau >= 0:  # written so that NaN fails
         raise ValueError("tau must be nonnegative")
     f = svd(X)
     return (f.U * np.maximum(f.sigma - tau, 0.0)) @ f.V.T
@@ -98,7 +98,7 @@ def identity_reweighter(n):
 def build_reweighter(f, p, gamma):
     """Reweighter from the ``svd`` f of the current iterate: inverse
     weights (sigma_i^2 + gamma)^{1/2 - p/4}."""
-    if gamma <= 0:
+    if not gamma > 0:  # written so that NaN fails
         raise ValueError("gamma must be positive")
     inv_w = (f.sigma**2 + gamma) ** (0.5 - p / 4.0)
     return Reweighter(f.U, f.V, inv_w)

@@ -30,7 +30,6 @@ from .report import Discrepancy, SolveReport
 
 __all__ = [
     "NnrConfig",
-    "SolveReport",
     "irn_nnrp",
     "flexible_nnrp",
     "svt",
@@ -96,14 +95,9 @@ class NnrConfig:
 
 
 def outer_stop_singular_values(sigma_prev, sigma_curr, tau_sigma):
-    """True iff two consecutive normalized spectra differ by < tau_sigma
-    in the 2-norm (spectra padded with zeros to equal length)."""
-    a = np.asarray(sigma_prev, dtype=float)
-    b = np.asarray(sigma_curr, dtype=float)
-    m = max(a.size, b.size)
-    a = np.pad(a, (0, m - a.size))
-    b = np.pad(b, (0, m - b.size))
-    return float(np.linalg.norm(b - a)) < tau_sigma
+    """True iff two consecutive normalized spectra, arrays of equal
+    length, differ by < tau_sigma in the 2-norm."""
+    return float(np.linalg.norm(sigma_curr - sigma_prev)) < tau_sigma
 
 
 def _reweighted_operator(op, rw, gkb, b):
@@ -125,14 +119,14 @@ def _reweighted_operator(op, rw, gkb, b):
     ), left(b)
 
 
-def reweighted_krylov_solve(op, b, reweighter, n_steps, lambda_rule="zero",
-                            lambda_value=0.0, gkb=True, stop=None,
-                            report=None, outer=0, x_exact=None):
+def reweighted_krylov_solve(op, b, reweighter, n_steps, report,
+                            lambda_rule="zero", lambda_value=0.0, gkb=True,
+                            stop=None, outer=0, x_exact=None):
     """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair,
     by Golub-Kahan (``gkb``) or Arnoldi, under the lambda rule spelt as in
-    ``NnrConfig``.  Returns (x, projected residual at the last step, stop
-    reason).  The inner cycle of the IRN solvers and of the fixed-point
-    tests.
+    ``NnrConfig``, recording each iterate in cycle ``outer`` of the
+    ``SolveReport`` ``report``.  Returns (x, stop reason).  The inner
+    cycle of the IRN solvers.
     """
     wop, b0 = _reweighted_operator(op, reweighter, gkb, b)
     x_target = None
@@ -163,11 +157,9 @@ def irn_nnrp(op, b, config, gkb=True, x_exact=None):
     report = SolveReport(solver=f"irn-{'lsqr' if gkb else 'gmres'}-nnrp")
     prev_spectrum = None
     for k in range(config.max_outer):
-        x, _, reason = reweighted_krylov_solve(
-            op, b, rw, config.max_inner, config.lambda_rule,
-            config.lambda_value, gkb=gkb, stop=stop, report=report, outer=k,
-            x_exact=x_exact,
-        )
+        x, reason = reweighted_krylov_solve(
+            op, b, rw, config.max_inner, report, config.lambda_rule,
+            config.lambda_value, gkb=gkb, stop=stop, outer=k, x_exact=x_exact)
         f = svd(unvec(x, n))  # one factorization: spectrum and weights
         spectrum = report.add_spectrum(k, f.sigma)
         if prev_spectrum is not None and outer_stop_singular_values(

@@ -39,8 +39,6 @@ class TestProblem:
     b: np.ndarray
     b_exact: np.ndarray
     x_exact: np.ndarray
-    noise_level: float
-    seed: int
 
     @property
     def noise_norm(self):
@@ -48,7 +46,7 @@ class TestProblem:
         return float(np.linalg.norm(self.b - self.b_exact))
 
 
-def _add_noise(op, x_exact, noise_level, rng, seed):
+def _add_noise(op, x_exact, noise_level, rng):
     if not 0 <= noise_level < np.inf:
         raise ValueError(f"noise_level must be finite and nonnegative, "
                          f"got {noise_level!r}")
@@ -59,7 +57,7 @@ def _add_noise(op, x_exact, noise_level, rng, seed):
         b = b_exact + eta
     else:
         b = b_exact.copy()
-    return TestProblem(op, b, b_exact, x_exact, noise_level, seed)
+    return TestProblem(op, b, b_exact, x_exact)
 
 
 def _check(key, value, ok, want):
@@ -87,7 +85,7 @@ def star_problem(n, noise_level=1e-3, sigma_blur=2.0, seed=0, bandwidth=None):
     if bandwidth is None:
         bandwidth = min(int(4 * sigma_blur) + 1, n)
     op = gaussian_blur_operator(n, sigma_blur, bandwidth)
-    return _add_noise(op, vec(X), noise_level, rng, seed)
+    return _add_noise(op, vec(X), noise_level, rng)
 
 
 def _bump_profile(n, center, width):
@@ -120,7 +118,7 @@ def phantom_problem(n, noise_level=1e-2, angle_span_degrees=90.0,
     angles = np.deg2rad(np.linspace(0.0, angle_span_degrees, n_angles,
                                     endpoint=False))
     op = tomography_operator(n, angles, detector_count)
-    return _add_noise(op, vec(X), noise_level, rng, seed)
+    return _add_noise(op, vec(X), noise_level, rng)
 
 
 def _house_texture(n):
@@ -206,14 +204,13 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
         raise ValueError(f"unknown mask pattern {pattern!r}")
     blur = shaking_blur_operator(n, n_steps=blur_steps, seed=seed)
     op = inpainting_operator(n, mask, blur)
-    return _add_noise(op, x_exact, noise_level, rng, seed)
+    return _add_noise(op, x_exact, noise_level, rng)
 
 
-def write_pgm(path, X, lo=None, hi=None):
+def write_pgm(path, X):
     """Write a 16-bit binary PGM, linearly rescaled to [0, 65535]."""
     X = np.asarray(X, dtype=float)
-    lo = X.min() if lo is None else lo
-    hi = X.max() if hi is None else hi
+    lo, hi = X.min(), X.max()
     scale = 65535.0 / (hi - lo) if hi > lo else 0.0
     data = np.clip((X - lo) * scale, 0, 65535).astype(">u2")
     with open(path, "wb") as fh:

@@ -18,10 +18,10 @@ class Discrepancy:
     epsilon: float
     theta: float = 1.01
 
-    def __post_init__(self):
-        if self.epsilon < 0:
+    def __post_init__(self):  # each test written so that NaN fails
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.theta <= 1:
+        if not self.theta > 1:
             raise ValueError("theta must be > 1")
 
     def satisfied(self, residual):

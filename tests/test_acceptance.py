@@ -171,8 +171,8 @@ def test_04_reweighted_solve_reaches_fixed_point():
     x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
     worst = 0.0
     for gkb in (True, False):
-        x, _, _ = reweighted_krylov_solve(op, b, rw, n * n, "fixed", lam,
-                                          gkb=gkb)
+        x, _ = reweighted_krylov_solve(op, b, rw, n * n, SolveReport(),
+                                       "fixed", lam, gkb=gkb)
         worst = max(worst,
                     np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle))
     assert worst <= 1e-6

@@ -11,6 +11,7 @@ from lrkrylov.krylov import (
     lr_fgmres,
     lr_flsqr,
     lsqr,
+    projected_svd,
     projected_tikhonov,
     rs_lr_gmres,
 )
@@ -249,11 +250,13 @@ class TestStorage:
 
 class TestProjectedTikhonov:
     def test_scalar_unregularized(self):
-        y, resid = projected_tikhonov(np.array([[1.0], [0.0]]), 2.0, 0.0)
+        H = np.array([[1.0], [0.0]])
+        y, resid = projected_tikhonov(H, 2.0, 0.0, projected_svd(H, 2.0))
         assert np.isclose(y[0], 2.0) and resid <= 1e-14
 
     def test_scalar_regularized(self):
-        y, resid = projected_tikhonov(np.array([[1.0], [0.0]]), 2.0, 1.0)
+        H = np.array([[1.0], [0.0]])
+        y, resid = projected_tikhonov(H, 2.0, 1.0, projected_svd(H, 2.0))
         assert np.isclose(y[0], 1.0) and np.isclose(resid, 1.0)
 
     def test_matches_normal_equations(self):
@@ -263,18 +266,20 @@ class TestProjectedTikhonov:
         rhs = np.zeros(7)
         rhs[0] = beta
         want = np.linalg.solve(H.T @ H + lam * np.eye(6), H.T @ rhs)
-        y, resid = projected_tikhonov(H, beta, lam)
+        y, resid = projected_tikhonov(H, beta, lam, projected_svd(H, beta))
         assert np.linalg.norm(y - want) <= 1e-10
         assert np.isclose(resid, np.linalg.norm(H @ y - rhs))
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            projected_tikhonov(np.eye(2), 1.0, -1e-3)
+            projected_tikhonov(np.eye(2), 1.0, -1e-3,
+                               projected_svd(np.eye(2), 1.0))
 
     def test_nan_lambda_rejected(self):
         # NaN would take the lambda = 0 filter and be recorded as the lambda
         with pytest.raises(ValueError, match="lambda_hat"):
-            projected_tikhonov(np.eye(2), 1.0, np.nan)
+            projected_tikhonov(np.eye(2), 1.0, np.nan,
+                               projected_svd(np.eye(2), 1.0))
         prob = star_problem(16, seed=0)
         with pytest.raises(ValueError, match="lambda_hat"):
             lsqr(prob.op, prob.b, 3, lambda_rule="fixed", lambda_value=np.nan)
@@ -413,9 +418,8 @@ class TestCoefficientErrors:
 
         def run(solution):
             report = SolveReport()
-            x, _, _ = krylov.hybrid(prob.op, prob.b, self.steps, report,
-                                    gkb, solution=solution,
-                                    x_exact=prob.x_exact)
+            x, _ = krylov.hybrid(prob.op, prob.b, self.steps, report, gkb,
+                                 solution=solution, x_exact=prob.x_exact)
             assert x is report.final_x
             return report
 

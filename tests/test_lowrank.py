@@ -103,6 +103,8 @@ class TestShrink:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             shrink(np.eye(2), -0.1)
+        with pytest.raises(ValueError):  # NaN would return a NaN matrix
+            shrink(np.eye(2), np.nan)
 
     @given(square, square, st.floats(0, 5))
     @settings(max_examples=25, deadline=None)
@@ -211,6 +213,8 @@ class TestReweighter:
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
             build_reweighter(svd(np.eye(3)), 1.0, 0.0)
+        with pytest.raises(ValueError):  # NaN would give all-NaN weights
+            build_reweighter(svd(np.eye(3)), 1.0, np.nan)
 
 
 class TestBasisVariantReweighter:
