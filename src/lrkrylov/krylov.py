@@ -4,12 +4,12 @@ projection loop every Arnoldi/GKB solver runs, and the solvers of this
 module: GMRES, LSQR, RS-LR-GMRES, LR-FGMRES, LR-FLSQR.
 
 Every Arnoldi step and Golub-Kahan half, standard or flexible, is one
-half-step, ``_extend``: subtract w's part on the last two basis vectors
-(local orthogonality, Parlett 1980), then one block classical
-Gram-Schmidt pass, repeated only if it leaves 1/sqrt(2) of ||w|| or less
-("twice is enough", Daniel, Gragg, Kaufman & Stewart 1976); write the
-coefficients into the projected matrix, append the vector or report
-breakdown.
+half-step, ``_extend``, reached through ``_forward`` where it applies A:
+subtract w's part on the last two basis vectors (local orthogonality,
+Parlett 1980), then one block classical Gram-Schmidt pass, repeated only
+if it leaves 1/sqrt(2) of ||w|| or less ("twice is enough", Daniel,
+Gragg, Kaufman & Stewart 1976); write the coefficients into the
+projected matrix, append the vector or report breakdown.
 Bases are dense column-major (Fortran-order) arrays sized once by the
 start function from the step budget, so a step writes a column in place
 and ``V_mat()`` and friends are views, not copies (desk scale,
@@ -83,19 +83,6 @@ def _first_column(b, cols):
     return beta, Q
 
 
-def _preconditioned(state, v, precondition, steps):
-    """z = precondition(v), kept as column k of Z, which the first call
-    allocates with ``steps`` columns; a standard run (``precondition``
-    None) keeps no Z, since there Z_k = V_k."""
-    if precondition is None:
-        return v
-    z = precondition(v)
-    if state.Z is None:
-        state.Z = np.empty((v.size, steps), order="F")
-    state.Z[:, state.k] = z
-    return z
-
-
 def _extend(w, Q, P, k):
     """The half-step every factorization shares: project w off the last
     two columns of Q, where a short recurrence puts most of it, so that
@@ -149,18 +136,30 @@ def arnoldi_start(op, b, steps):
     return ArnoldiState(beta, V, np.zeros((steps + 1, steps), order="F"))
 
 
+def _forward(state, op, precondition, Q, P):
+    """Advance by the half-step that applies A: z = precondition(v_k), kept
+    as column k of Z, which the first flexible step allocates (a standard
+    run keeps no Z: Z_k = V_k), then ``_extend`` by A z into Q and column k
+    of P, reporting breakdown.  Returns whether Q grew."""
+    k = state.k
+    z = state.V[:, k]
+    if precondition is not None:
+        z = precondition(z)
+        if state.Z is None:
+            state.Z = np.empty((z.size, P.shape[1]), order="F")
+        state.Z[:, k] = z
+    q = _extend(op.matvec(z), Q[:, : k + 1], P, k)
+    state.k = k + 1
+    state.breakdown = q is None
+    if q is not None:
+        Q[:, k + 1] = q
+    return q is not None
+
+
 def arnoldi_step(state, op, precondition=None):
     """Expand the factorization by one column; reports (not raises) breakdown."""
-    if state.breakdown:
-        return state
-    k = state.k
-    z = _preconditioned(state, state.V[:, k], precondition,
-                        state.H.shape[1])
-    v = _extend(op.matvec(z), state.V[:, : k + 1], state.H, k)
-    state.k = k + 1
-    state.breakdown = v is None
-    if v is not None:
-        state.V[:, k + 1] = v
+    if not state.breakdown:
+        _forward(state, op, precondition, state.V, state.H)
     return state
 
 
@@ -217,13 +216,7 @@ def gkb_step(state, op, precondition=None):
         state.breakdown = True
         return state
     state.V[:, k] = v
-    z = _preconditioned(state, state.V[:, k], precondition,
-                        state.M.shape[1])
-    u = _extend(op.matvec(z), state.U[:, : k + 1], state.M, k)
-    state.k = k + 1
-    state.breakdown = u is None
-    if u is not None:
-        state.U[:, k + 1] = u
+    if _forward(state, op, precondition, state.U, state.M):
         state.u = k + 2
     return state
 
@@ -231,7 +224,6 @@ def gkb_step(state, op, precondition=None):
 def projected_svd(H, beta):
     """Thin SVD H = P diag(s) Q^T of a projected matrix, with c = beta P^T e1
     and lstsq's rank cutoff s_1 max(H.shape) eps: (s, Q, c, cutoff)."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
     P, s, Qt = np.linalg.svd(H, full_matrices=False)
     cutoff = s[0] * max(H.shape) * np.finfo(float).eps if s.size else 0.0
     return s, Qt.T, beta * P[0], cutoff
@@ -332,63 +324,31 @@ def optimal_lambda_search(svd, target):
     return 0.0 if lam <= grid[1] else lam
 
 
-class _LambdaRule:
-    """Per-iteration regularization parameter selection for hybrid solves.
-
-    ``kind`` is one of zero / fixed / secant / optimal.  The secant rule
-    aims at the discrepancy ``stop``, which it requires, and keeps a
-    (lambda, residual) history, so ``hybrid`` builds a fresh rule for each
-    call (each IRN inner cycle); the optimal rule needs the exact solution
-    projected on the current basis.
-    """
-
-    def __init__(self, kind, value, stop):
-        if kind not in ("zero", "fixed", "secant", "optimal"):
-            raise ValueError(f"unknown lambda rule {kind!r}")
-        if kind == "secant" and stop is None:
-            raise ValueError("the secant rule needs a discrepancy stop")
-        self.kind = kind
-        self.stop = stop
-        self.history = []
-        self.current = value if kind == "fixed" else 0.0
-
-    def solve(self, H, beta, target):
-        """Projected Tikhonov with the rule's current lambda; for the
-        optimal rule, pick lambda minimizing ||target - y(lambda)||.
-        Every lambda is served by one SVD of H.
-        Returns (y, projected residual, lambda used)."""
-        svd = projected_svd(H, beta)
-        if self.kind == "optimal":
-            self.current = optimal_lambda_search(svd, target)
-        lam = self.current
-        y, resid = projected_tikhonov(H, beta, lam, svd)
-        if self.kind == "secant":
-            self.history.append((lam, resid))
-            self.current = secant_lambda_update(
-                self.history, self.stop.epsilon, self.stop.theta,
-                h_norm2=float(np.linalg.norm(H) ** 2),
-            )
-        return y, resid, lam
-
-
 def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
            stop=None, precondition=None, solution=None, x_target=None,
            x_exact=None, outer=0, after=None):
     """The hybrid projection loop of every Arnoldi/GKB solver.
 
     Step k expands the (flexible when ``precondition`` is given) Arnoldi
-    or Golub-Kahan factorization of ``op`` from ``b``, solves the projected
-    Tikhonov problem by a fresh ``lambda_rule`` (the optimal rule aims at
-    V_k^T ``x_target``; ``lambda_value`` is the fixed rule's), maps Z_k y
-    through ``solution``, records the iterate in cycle ``outer`` of
-    ``report`` and tests the stops; then, unless this was the last step,
-    ``after(x)`` runs.  A standard run with ``x_exact`` records errors from
-    coefficients instead and builds x once, at the end (module docstring).
-    Returns (x, stop reason).
+    or Golub-Kahan factorization of ``op`` from ``b``, takes one
+    ``projected_svd`` and solves the projected Tikhonov problem with the
+    lambda of ``lambda_rule``: 0, ``lambda_value`` ("fixed"), the best for
+    V_k^T ``x_target`` ("optimal"), or the secant step toward ``stop`` that
+    the previous step took, from a history each call starts afresh.  It
+    maps Z_k y through ``solution``, records the iterate and its lambda in
+    cycle ``outer`` of ``report`` and tests the stops; then, unless this
+    was the last step, ``after(x)`` runs.  A standard run with ``x_exact``
+    records errors from coefficients instead and builds x once, at the end
+    (module docstring).  Returns (x, stop reason).
     """
-    rule = _LambdaRule(lambda_rule, lambda_value, stop)
-    if rule.kind == "optimal" and x_target is None:
+    if lambda_rule not in ("zero", "fixed", "secant", "optimal"):
+        raise ValueError(f"unknown lambda rule {lambda_rule!r}")
+    if lambda_rule == "secant" and stop is None:
+        raise ValueError("the secant rule needs a discrepancy stop")
+    if lambda_rule == "optimal" and x_target is None:
         raise ValueError("the optimal lambda rule needs the exact solution")
+    lam = lambda_value if lambda_rule == "fixed" else 0.0
+    history = []  # the secant rule's (lambda, residual) pairs
     state = (gkb_start if gkb else arnoldi_start)(op, b, max_iter)
     step = gkb_step if gkb else arnoldi_step
     # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
@@ -406,11 +366,12 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
         if state.k < it:
             reason = "breakdown"
             break
-        target = None
-        if rule.kind == "optimal":
-            target = state.V_mat()[:, : state.k].T @ x_target
         proj = state.M_mat() if gkb else state.H_mat()
-        y, resid, lam = rule.solve(proj, state.beta, target)
+        svd = projected_svd(proj, state.beta)
+        if lambda_rule == "optimal":
+            lam = optimal_lambda_search(
+                svd, state.V_mat()[:, : state.k].T @ x_target)
+        y, resid = projected_tikhonov(proj, state.beta, lam, svd)
         if coeffs:
             z = state.Z_mat()[:, -1]
             t.append(z @ r)
@@ -425,6 +386,10 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
             if solution is not None:
                 x = solution(x)
             report.record(outer, x, resid, lam, x_exact)
+        if lambda_rule == "secant":
+            history.append((lam, resid))
+            lam = secant_lambda_update(history, stop.epsilon, stop.theta,
+                                       float(np.linalg.norm(proj) ** 2))
         if stop is not None and stop.satisfied(resid):
             reason = "discrepancy"
             break

@@ -37,19 +37,17 @@ class SvdTriple:
 
 
 def svd(X):
-    """Full SVD with a deterministic sign convention.
+    """Full SVD X = U diag(sigma) V^T, column signs as LAPACK gives them.
 
-    The largest-magnitude entry of each column of U is made positive so
-    repeated factorizations of the same matrix agree across runs.
+    Every result built from the factors pairs column i of U with column
+    i of V, and negating both negates only factors that meet in pairs;
+    negation is exact, so a sign convention would change no bit.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix has non-finite entries")
     U, s, Vt = np.linalg.svd(X)
-    V = Vt.T
-    flip = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
-    flip[flip == 0] = 1.0
-    return SvdTriple(U * flip, s, V * flip)
+    return SvdTriple(U, s, Vt.T)
 
 
 def truncate(c, kappa):
@@ -98,6 +96,8 @@ def identity_reweighter(n):
 def build_reweighter(f, p, gamma):
     """Reweighter from the ``svd`` f of the current iterate: inverse
     weights (sigma_i^2 + gamma)^{1/2 - p/4}."""
+    if not 0 < p <= 1:  # written so that NaN fails
+        raise ValueError(f"p must be in (0, 1], got {p!r}")
     if not gamma > 0:  # written so that NaN fails
         raise ValueError("gamma must be positive")
     inv_w = (f.sigma**2 + gamma) ** (0.5 - p / 4.0)
@@ -107,6 +107,8 @@ def build_reweighter(f, p, gamma):
 def build_reweighter_from_basis(v_i, p):
     """Reweighter from a basis vector ("(v)" variant): inverse weights
     sigma_i^{1/2 - p/4} taken from the SVD of unvec(v_i)."""
+    if not 0 < p <= 1:  # written so that NaN fails
+        raise ValueError(f"p must be in (0, 1], got {p!r}")
     v_i = np.asarray(v_i, dtype=float)
     if not np.any(v_i):
         raise ValueError("basis vector is zero")

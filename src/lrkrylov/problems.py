@@ -7,6 +7,7 @@ rank-capped synthetic textures (or a user-supplied image file).
 All generators are deterministic given their seed.
 """
 
+import os
 import re
 from dataclasses import dataclass
 
@@ -47,9 +48,8 @@ class TestProblem:
 
 
 def _add_noise(op, x_exact, noise_level, rng):
-    if not 0 <= noise_level < np.inf:
-        raise ValueError(f"noise_level must be finite and nonnegative, "
-                         f"got {noise_level!r}")
+    _check("noise_level", noise_level, 0 <= noise_level < np.inf,
+           "finite and nonnegative")
     b_exact = op.matvec(x_exact)
     if noise_level > 0:
         eta = rng.standard_normal(b_exact.size)
@@ -61,7 +61,7 @@ def _add_noise(op, x_exact, noise_level, rng):
 
 
 def _check(key, value, ok, want):
-    if not ok:
+    if isinstance(value, bool) or not ok:  # JSON true is no number
         raise ValueError(f"{key} must be {want}, got {value!r}")
 
 
@@ -76,6 +76,8 @@ def star_problem(n, noise_level=1e-3, sigma_blur=2.0, seed=0, bandwidth=None):
     if bandwidth is not None:
         _check("bandwidth", bandwidth, is_count(bandwidth, n, low=0),
                f"an integer in [0, {n}]")
+    _check("sigma_blur", sigma_blur, 0 <= sigma_blur < np.inf,
+           "finite and nonnegative")
     rng = np.random.default_rng(seed)
     g1r = _gaussian_profile(n, 0.38 * n, 0.03 * n)
     g1c = _gaussian_profile(n, 0.44 * n, 0.03 * n)
@@ -100,8 +102,8 @@ def _bump_profile(n, center, width):
 def phantom_problem(n, noise_level=1e-2, angle_span_degrees=90.0,
                     n_angles=60, detector_count=None, seed=0):
     """Limited-angle tomography of an exactly rank-4 smooth phantom."""
-    if not 0 < angle_span_degrees < 180:
-        raise ValueError("angle span must lie in (0, 180) degrees")
+    _check("angle_span_degrees", angle_span_degrees,
+           0 < angle_span_degrees < 180, "in (0, 180) degrees")
     rng = np.random.default_rng(seed)
     if detector_count is None:
         detector_count = n
@@ -189,6 +191,8 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
     elif image == "peppers-like":
         X = _peppers_texture(n)
     else:
+        _check("image", image, isinstance(image, (str, os.PathLike)),
+               "a built-in texture name or a PGM file path")
         X = read_pgm(image)
         if X.shape != (n, n):
             raise ValueError(

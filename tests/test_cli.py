@@ -386,6 +386,16 @@ class TestExitCodes:
          "blur_steps"),
         ({"type": "inpainting", "n": 16, "rank_cap": 8,
           "missing_fraction": 1.5}, "missing_fraction"),
+        # json reads 1e400 as inf, as it does the Infinity written here
+        ({"type": "star", "n": 16, "sigma_blur": float("inf")}, "sigma_blur"),
+        ({"type": "star", "n": 16, "sigma_blur": float("nan")}, "sigma_blur"),
+        ({"type": "star", "n": 16, "sigma_blur": True}, "sigma_blur"),
+        ({"type": "star", "n": 16, "sigma_blur": -1.0}, "sigma_blur"),
+        # no open descriptor: an integer image was opened as one
+        ({"type": "inpainting", "n": 16, "rank_cap": 8, "image": 10**6},
+         "image"),
+        ({"type": "phantom", "n": 16, "n_angles": 4,
+          "angle_span_degrees": True}, "angle_span_degrees"),
     ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items())
         if isinstance(v, dict) else v)
     def test_bad_star_or_inpainting_size_is_exit_1(self, tmp_path, capsys,
@@ -418,9 +428,10 @@ class TestExitCodes:
         path = write_config(tmp_path / "c.json", cfg)
         assert cli.run(path, out_dir=str(tmp_path / "o")) == 1
 
-    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -1e-3])
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -1e-3,
+                                       True])
     def test_bad_noise_level_is_exit_1(self, tmp_path, level):
-        # json writes and reads these as NaN / Infinity / -0.001
+        # json writes and reads these as NaN / Infinity / -0.001 / true
         cfg = base_config(problem={"type": "star", "n": 16, "seed": 0,
                                    "noise_level": level})
         path = write_config(tmp_path / "c.json", cfg)

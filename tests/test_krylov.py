@@ -327,6 +327,12 @@ class TestGmresLsqr:
         with pytest.raises(ValueError, match="secant"):
             fn(identity_operator(4), np.ones(16), 3, lambda_rule="secant")
 
+    @pytest.mark.parametrize("rule", ["Optimal", "tikhonov", ""])
+    @pytest.mark.parametrize("fn", [gmres, lsqr])
+    def test_unknown_lambda_rule_rejected(self, fn, rule):
+        with pytest.raises(ValueError, match=f"unknown lambda rule {rule!r}"):
+            fn(identity_operator(4), np.ones(16), 3, lambda_rule=rule)
+
     @pytest.mark.parametrize("fn", [gmres, lsqr])
     def test_optimal_rule_needs_the_exact_solution(self, fn):
         with pytest.raises(ValueError, match="optimal"):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
+    Reweighter,
     apply_transform,
     build_reweighter,
     build_reweighter_from_basis,
@@ -41,12 +42,10 @@ class TestSvd:
         X = np.random.default_rng(1).standard_normal((5, 5))
         assert np.allclose(reconstruct(svd(X)), X, atol=1e-12)
 
-    def test_sign_convention_deterministic(self):
+    def test_repeat_factorization_deterministic(self):
         X = np.random.default_rng(2).standard_normal((5, 5))
         f1, f2 = svd(X), svd(X.copy())
         assert np.array_equal(f1.U, f2.U)
-        for col in f1.U.T:
-            assert col[np.argmax(np.abs(col))] > 0
 
     def test_non_finite_rejected(self):
         X = np.eye(3)
@@ -215,6 +214,27 @@ class TestReweighter:
             build_reweighter(svd(np.eye(3)), 1.0, 0.0)
         with pytest.raises(ValueError):  # NaN would give all-NaN weights
             build_reweighter(svd(np.eye(3)), 1.0, np.nan)
+
+    @pytest.mark.parametrize("p", [np.nan, -3.0, 0.0, 1.5, np.inf])
+    def test_p_outside_unit_interval_rejected(self, p):
+        # NaN gave all-NaN weights, and p = -3 weights spanning 34 to 5e-21
+        with pytest.raises(ValueError, match="p must be"):
+            build_reweighter(svd(np.diag([2.0, 1.0, 0.5])), p, 1.0)
+        with pytest.raises(ValueError, match="p must be"):
+            build_reweighter_from_basis(np.arange(1, 10.0), p)
+
+    def test_paired_sign_flip_changes_no_bit(self):
+        # negating column i of both U and V negates only factors that meet
+        # in pairs, and negation is exact
+        rng = np.random.default_rng(17)
+        rw = build_reweighter(svd(rng.standard_normal((6, 6))), 0.8, 1e-2)
+        signs = np.where(np.arange(6) % 3 == 0, -1.0, 1.0)
+        flipped = Reweighter(rw.U * signs, rw.V * signs, rw.inv_weights)
+        for _ in range(5):
+            v = rng.standard_normal(36)
+            for power in (-2, -1, 0, 1):
+                assert np.array_equal(precondition(flipped, v, power),
+                                      precondition(rw, v, power))
 
 
 class TestBasisVariantReweighter:

@@ -5,6 +5,7 @@ from lrkrylov import cli, krylov, nnr
 from lrkrylov.krylov import projected_svd
 from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
+    Reweighter,
     build_reweighter,
     identity_reweighter,
     shrink,
@@ -163,6 +164,21 @@ class TestReweightedSolve:
         want = left @ to_dense(op) @ S.T @ W_inv
         assert np.linalg.norm(A_hat - want) <= 1e-10 * np.linalg.norm(want)
         assert np.allclose(b0, left @ b, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", ["zero", "optimal"])
+    @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
+    def test_paired_sign_flip_changes_no_bit(self, inner, rule):
+        # column signs of the SVD factors are free: negating paired U/V
+        # columns of the reweighter leaves the solve the same to the bit
+        prob = star_problem(16, noise_level=1e-2, seed=4)
+        rw = build_reweighter(svd(unvec(prob.b, 16)), 1.0, 1e-2)
+        signs = np.where(np.arange(16) % 3 == 0, -1.0, 1.0)
+        flipped = Reweighter(rw.U * signs, rw.V * signs, rw.inv_weights)
+        xs = [reweighted_krylov_solve(prob.op, prob.b, r, 8, SolveReport(),
+                                      rule, gkb=inner == "gkb",
+                                      x_exact=prob.x_exact)[0]
+              for r in (rw, flipped)]
+        assert np.array_equal(xs[0], xs[1])
 
     def test_projected_residual_is_true_residual(self):
         prob = star_problem(16, noise_level=1e-3, seed=2)

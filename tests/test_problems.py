@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,13 @@ class TestStar:
         with pytest.raises(ValueError):
             star_problem(8)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0, True])
+    def test_bad_sigma_blur_rejected(self, sigma):
+        # an infinite width used to end in an OverflowError, NaN in an
+        # error that did not name the key, and true to run as sigma 1
+        with pytest.raises(ValueError, match="sigma_blur must be"):
+            star_problem(16, sigma_blur=sigma)
+
     def test_noise_is_white(self):
         # adjacent noise samples should be uncorrelated
         prob = star_problem(100, noise_level=1e-2, seed=7)
@@ -69,10 +78,10 @@ class TestStar:
     lambda level: phantom_problem(16, noise_level=level, n_angles=4),
     lambda level: inpainting_problem(n=16, rank_cap=8, noise_level=level),
 ], ids=["star", "phantom", "inpainting"])
-@pytest.mark.parametrize("level", [np.nan, np.inf, -1e-3])
+@pytest.mark.parametrize("level", [np.nan, np.inf, -1e-3, True])
 def test_bad_noise_level_rejected(make, level):
-    # NaN and negative levels used to give silently noiseless data, and an
-    # infinite one non-finite data
+    # NaN and negative levels used to give silently noiseless data, an
+    # infinite one non-finite data, and JSON true 100% noise
     with pytest.raises(ValueError, match="noise_level"):
         make(level)
 
@@ -92,6 +101,11 @@ class TestPhantom:
             phantom_problem(32, angle_span_degrees=0.0)
         with pytest.raises(ValueError):
             phantom_problem(32, angle_span_degrees=180.0)
+
+    @pytest.mark.parametrize("span", [True, np.nan, np.inf])
+    def test_angle_span_must_be_a_number_in_range(self, span):
+        with pytest.raises(ValueError, match="angle_span_degrees must be"):
+            phantom_problem(16, angle_span_degrees=span, n_angles=4)
 
     def test_detector_count_override(self):
         prob = phantom_problem(32, n_angles=10, detector_count=48, seed=2)
@@ -134,6 +148,32 @@ class TestInpainting:
         write_pgm(path, X)
         prob = inpainting_problem(str(path), n=32, rank_cap=20, seed=4)
         assert prob.op.cols == 1024
+
+    def test_file_descriptor_is_no_image(self, tmp_path):
+        # open() would read from an integer descriptor and close it
+        path = tmp_path / "img.pgm"
+        write_pgm(path, np.zeros((16, 16)))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(ValueError, match="image must be"):
+                inpainting_problem(fd, n=16, rank_cap=8)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("image", [b"img.pgm", 2.5, None])
+    def test_image_must_be_a_name_or_path(self, image):
+        with pytest.raises(ValueError, match="image must be"):
+            inpainting_problem(image, n=16, rank_cap=8)
+
+    def test_image_from_path_object(self, tmp_path):
+        X = np.random.default_rng(5).random((16, 16))
+        path = tmp_path / "img.pgm"
+        write_pgm(path, X)
+        prob = inpainting_problem(path, n=16, rank_cap=8, seed=4)
+        assert np.array_equal(prob.x_exact,
+                              inpainting_problem(str(path), n=16, rank_cap=8,
+                                                 seed=4).x_exact)
 
     def test_wrong_image_size_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
