@@ -9,7 +9,12 @@ subtract w's part on the last two basis vectors (local orthogonality,
 Parlett 1980), then one block classical Gram-Schmidt pass, repeated only
 if it leaves 1/sqrt(2) of ||w|| or less ("twice is enough", Daniel,
 Gragg, Kaufman & Stewart 1976); write the coefficients into the
-projected matrix, append the vector or report breakdown.
+projected matrix, append the vector or report breakdown.  The pass skips
+its update sweep w - Q h when ||h|| = ||Q^T w|| <= 4 eps ||w||, and
+writes h as zeros, so the projected matrix holds what was subtracted: in
+a standard Golub-Kahan run the local step mostly leaves w orthogonal to
+the older basis to rounding, and the loss it leaves is measured exactly
+and corrected only where it is (partial reorthogonalization, Simon 1984).
 Bases are dense column-major (Fortran-order) arrays sized once by the
 start function from the step budget, so a step writes a column in place
 and ``V_mat()`` and friends are views, not copies (desk scale,
@@ -55,6 +60,7 @@ __all__ = [
 
 _BREAKDOWN_REL = 1e-12
 _REORTH = 1 / np.sqrt(2)  # a second pass when one leaves less of ||w||
+_SKIP = 4 * np.finfo(float).eps  # no update when ||Q^T w|| is this of ||w||
 _LAMBDA_GRID = np.logspace(-16, 2, 37)  # trial lambdas of the optimal rule
 _GOLDEN_ITERS = 60  # golden-section steps that refine the best of them
 _LAMBDA_MAX = 1e10  # ceiling of the secant rule's lambda
@@ -63,13 +69,20 @@ _LAMBDA_MAX = 1e10  # ceiling of the secant rule's lambda
 def _orthogonalize(w, Q):
     """Block classical Gram-Schmidt against the orthonormal columns of
     ``Q``, repeated once when the first pass leaves ||w|| at or below
-    _REORTH of its value; returns (w, summed coefficients)."""
+    _REORTH of its value; returns (w, summed coefficients, ||w||).  When
+    ||h|| = ||Q^T w|| <= _SKIP ||w||, h is rounding: w comes back as it
+    is, with zero coefficients, and without the update sweep w - Q h."""
     h = Q.T @ w
+    norm = np.linalg.norm(w)
+    if np.linalg.norm(h) <= _SKIP * norm:
+        return w, np.zeros_like(h), norm
     w1 = w - Q @ h
-    if np.linalg.norm(w1) > _REORTH * np.linalg.norm(w):
-        return w1, h
+    norm1 = np.linalg.norm(w1)
+    if norm1 > _REORTH * norm:
+        return w1, h, norm1
     h2 = Q.T @ w1
-    return w1 - Q @ h2, h + h2
+    w2 = w1 - Q @ h2
+    return w2, h + h2, np.linalg.norm(w2)
 
 
 def _first_column(b, cols):
@@ -91,9 +104,8 @@ def _extend(w, Q, P, k):
     when ||w|| <= _BREAKDOWN_REL max(max |h|, 1) (0 for an empty h)."""
     near = Q[:, -2:]
     c = near.T @ w
-    w, h = _orthogonalize(w - near @ c, Q)
+    w, h, norm = _orthogonalize(w - near @ c, Q)
     h[h.size - c.size:] += c
-    norm = np.linalg.norm(w)
     P[: h.size, k] = h
     P[h.size, k] = norm
     if norm <= _BREAKDOWN_REL * max(np.abs(h).max(initial=0.0), 1.0):

@@ -78,6 +78,7 @@ def star_problem(n, noise_level=1e-3, sigma_blur=2.0, seed=0, bandwidth=None):
                f"an integer in [0, {n}]")
     _check("sigma_blur", sigma_blur, 0 <= sigma_blur < np.inf,
            "finite and nonnegative")
+    _check("seed", seed, is_count(seed, low=0), "an integer >= 0")
     rng = np.random.default_rng(seed)
     g1r = _gaussian_profile(n, 0.38 * n, 0.03 * n)
     g1c = _gaussian_profile(n, 0.44 * n, 0.03 * n)
@@ -104,6 +105,7 @@ def phantom_problem(n, noise_level=1e-2, angle_span_degrees=90.0,
     """Limited-angle tomography of an exactly rank-4 smooth phantom."""
     _check("angle_span_degrees", angle_span_degrees,
            0 < angle_span_degrees < 180, "in (0, 180) degrees")
+    _check("seed", seed, is_count(seed, low=0), "an integer >= 0")
     rng = np.random.default_rng(seed)
     if detector_count is None:
         detector_count = n
@@ -185,6 +187,7 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
     _check("blur_steps", blur_steps, is_count(blur_steps), "an integer >= 1")
     _check("missing_fraction", missing_fraction, 0 <= missing_fraction < 1,
            "in [0, 1)")
+    _check("seed", seed, is_count(seed, low=0), "an integer >= 0")
     rng = np.random.default_rng(seed)
     if image == "house-like":
         X = _house_texture(n)

@@ -542,6 +542,25 @@ class TestArtifacts:
         assert (out1 / "gmres_iterations.csv").read_bytes() != \
             (out2 / "gmres_iterations.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5])
+    def test_bad_seed_is_exit_1(self, tmp_path, capsys, seed):
+        cfg = base_config(problem={"type": "star", "n": 16, "seed": seed})
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "problem: seed must be an integer >= 0" in err
+
+    def test_negative_seed_override_is_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", base_config())
+        out = tmp_path / "o"
+        assert cli.main(["run", path, "--out", str(out),
+                         "--seed-override", "-1"]) == 1
+        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "problem: seed must be an integer >= 0" in err
+
     def test_cross_check_residuals(self, tmp_path):
         cfg = base_config(cross_check_residuals=True)
         path = write_config(tmp_path / "c.json", cfg)

@@ -86,6 +86,19 @@ def test_bad_noise_level_rejected(make, level):
         make(level)
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: star_problem(16, seed=seed),
+    lambda seed: phantom_problem(16, n_angles=4, seed=seed),
+    lambda seed: inpainting_problem(n=16, rank_cap=8, seed=seed),
+], ids=["star", "phantom", "inpainting"])
+@pytest.mark.parametrize("seed", [True, -1, 1.5])
+def test_bad_seed_rejected(make, seed):
+    # true used to build the data of seed 1, and -1 failed inside numpy
+    # without naming the key
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        make(seed)
+
+
 class TestPhantom:
     def test_exact_rank_four(self):
         prob = phantom_problem(64, seed=0)
