@@ -15,10 +15,11 @@ writes h as zeros, so the projected matrix holds what was subtracted: in
 a standard Golub-Kahan run the local step mostly leaves w orthogonal to
 the older basis to rounding, and the loss it leaves is measured exactly
 and corrected only where it is (partial reorthogonalization, Simon 1984).
-Bases are dense column-major (Fortran-order) arrays sized once by the
-start function from the step budget, so a step writes a column in place
-and ``V_mat()`` and friends are views, not copies (desk scale,
-N <= 65536, <= 200 steps).
+The same half-step grows RS-LR-GMRES's two QR factors, V_m = Q R of its
+truncated basis and A V_m = W S, by a column a step.  Bases are dense
+column-major (Fortran-order) arrays sized once by the start function from
+the step budget, so a step writes a column in place and ``V_mat()`` and
+friends are views, not copies (desk scale, N <= 65536, <= 200 steps).
 
 Every lambda rule is served by one thin SVD H = P S Q^T of the projected
 matrix per iteration, so a trial lambda costs O(k), not a least-squares
@@ -445,70 +446,66 @@ def lsqr(op, b, max_iter, stop=None, lambda_rule="zero", lambda_value=0.0,
                       lambda_value, x_exact, gkb=True, x_target=x_exact)
 
 
-def _gram_solve(B, r):
-    """Least-squares coefficients of r on the columns of B from the Gram
-    system (B^T B) c = B^T r, shifted by 1e-12 I when it is singular."""
-    G = B.T @ B
-    rhs = B.T @ r
-    try:
-        return np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.solve(G + 1e-12 * np.eye(G.shape[0]), rhs)
-
-
 def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
                 x_exact=None):
     """Restarted GMRES with rank truncation of basis vectors and iterates.
 
-    Inner basis vectors are orthogonalized against the previous
-    (non-orthonormal) basis through a Gram solve, then truncated; the
-    outer update truncates x + V_m y with y from the oblique projection
-    (U_m^T A V_m) y = U_m^T r, U_m = A V_m.  A step whose truncated
-    direction is negligible is recorded once and ends the cycle, since
-    the next step would repeat it.
+    A cycle keeps its non-orthonormal basis V_m and A V_m as QR factors
+    V_m = Q R and A V_m = W S, which ``_extend`` grows by a column a step.
+    An inner step truncates u - Q Q^T u, u = A v_{m-1}; the outer update
+    truncates x + Q (R y), with y from S y = W^T r, the least-squares
+    solution of (A V_m) y = r.  A step whose truncated direction is
+    negligible, or whose column breaks down either factor, is recorded
+    once and ends the cycle, since the next step would repeat it; so does
+    a start residual in the null space of A, at the first column.
     """
     if op.rows != op.cols:
         raise ValueError("RS-LR-GMRES requires a square operator")
     stop = _stop_from(stop)
     b = np.asarray(b, dtype=float)
-    n = op.image_side
     x = np.zeros(op.cols)
-    report = SolveReport(solver="rs-lr-gmres")
-    V = np.empty((op.cols, restart_len + 1), order="F")  # each cycle's basis
-    AV = np.empty((op.rows, restart_len + 1), order="F")  # and A times it
+    report = SolveReport(solver="rs-lr-gmres", stop_reason="max_outer")
+    Q = np.empty((op.cols, restart_len + 1), order="F")  # V = Q R and
+    W = np.empty_like(Q)  # A V = W S of each cycle
+    R = np.zeros((restart_len + 1, restart_len + 1), order="F")
+    S = np.zeros_like(R)
+    g = np.empty(restart_len + 1)  # W^T r
     for outer in range(max_outer):
         r = b - op.matvec(x)
         rnorm = np.linalg.norm(r)
         if rnorm <= _BREAKDOWN_REL * np.linalg.norm(b):
             report.stop_reason = "zero_residual"
             break
-        V[:, 0] = r / rnorm
-        AV[:, 0] = op.matvec(V[:, 0])
-        m = 1
-        for _ in range(restart_len):
-            u = AV[:, m - 1]
-            Vm = V[:, :m]
-            wt = truncate(u - Vm @ _gram_solve(Vm, u), truncation_rank)
-            wnorm = np.linalg.norm(wt)
-            grown = wnorm > _BREAKDOWN_REL * max(np.linalg.norm(u), 1.0)
-            if grown:
-                V[:, m] = wt / wnorm
-                AV[:, m] = op.matvec(V[:, m])
-                m += 1
-            # projected oblique solve on the current basis, for metrics
-            y = _gram_solve(AV[:, :m], r)
-            xt = truncate(x + V[:, :m] @ y, truncation_rank)
-            resid = np.linalg.norm(b - op.matvec(xt))
-            report.record(outer, xt, resid, 0.0, x_exact)
-            if stop is not None and stop.satisfied(resid):
-                report.stop_reason = "discrepancy"
-                break
-            if not grown:
+        v, m = r / rnorm, 0  # the next column of V, None when negligible
+        for step in range(restart_len + 1):
+            if step:  # v_m from u = A v_{m-1} off span(V_m), truncated
+                wt = truncate(_orthogonalize(u, Q[:, :m])[0], truncation_rank)
+                wnorm = np.linalg.norm(wt)
+                grown = wnorm > _BREAKDOWN_REL * max(np.linalg.norm(u), 1.0)
+                v = wt / wnorm if grown else None
+            if v is not None:  # V = Q R and A V = W S grow by a column
+                u = op.matvec(v)
+                q = _extend(v, Q[:, :m], R, m)
+                w = None if q is None else _extend(u, W[:, :m], S, m)
+                if w is None:
+                    v = None
+                else:
+                    Q[:, m], W[:, m], g[m] = q, w, w @ r
+                    m += 1
+            if step or v is None:
+                y = np.linalg.solve(S[:m, :m], g[:m])
+                xt = truncate(x + Q[:, :m] @ (R[:m, :m] @ y), truncation_rank)
+                resid = np.linalg.norm(b - op.matvec(xt))
+                report.record(outer, xt, resid, 0.0, x_exact)
+                if stop is not None and stop.satisfied(resid):
+                    report.stop_reason = "discrepancy"
+                    break
+            if v is None:
                 break  # the next step would repeat this one: restart
         x = report.final_x
         if report.stop_reason == "discrepancy":
             break
-    report.add_best_spectrum(n)
+    report.add_best_spectrum(op.image_side)
     return report
 
 

@@ -1,15 +1,16 @@
 """Dense helpers that only the tests use.
 
-Explicit-matrix operators and their assembly, the product of an SVD, and
-the smooth Schatten-p surrogate with its gradient, which the reweighter's
-weights are derived from.  They build dense n^2 x n^2 matrices or extra
-SVDs, so they stay out of the package.
+Explicit-matrix operators and their assembly, the product of an SVD, the
+smooth Schatten-p surrogate with its gradient, which the reweighter's
+weights are derived from, and a reference RS-LR-GMRES cycle.  They build
+dense n^2 x n^2 matrices, extra SVDs or whole bases per step, so they
+stay out of the package.
 """
 
 import numpy as np
 
 from lrkrylov.linops import LinearOperator
-from lrkrylov.lowrank import svd
+from lrkrylov.lowrank import svd, truncate
 
 
 def from_dense(A, image_side=None):
@@ -60,3 +61,22 @@ def smooth_schatten_gradient(X, p, gamma):
     f = svd(X)
     scale = p * (f.sigma**2 + gamma) ** (p / 2.0 - 1.0)
     return (f.U * (scale * f.sigma)) @ f.V.T
+
+
+def rs_lr_gmres_lstsq(op, b, restart_len, truncation_rank):
+    """The first RS-LR-GMRES cycle from x = 0, with both projections, of
+    A v_{m-1} on V_m and of b on A V_m, solved by ``np.linalg.lstsq`` on
+    the whole basis: (residual norms, iterates), one per step."""
+    V = [b / np.linalg.norm(b)]
+    AV = [op.matvec(V[0])]
+    residuals, iterates = [], []
+    for _ in range(restart_len):
+        B = np.column_stack(V)
+        w = truncate(AV[-1] - B @ np.linalg.lstsq(B, AV[-1])[0],
+                     truncation_rank)
+        V.append(w / np.linalg.norm(w))
+        AV.append(op.matvec(V[-1]))
+        y = np.linalg.lstsq(np.column_stack(AV), b)[0]
+        iterates.append(truncate(np.column_stack(V) @ y, truncation_rank))
+        residuals.append(np.linalg.norm(b - op.matvec(iterates[-1])))
+    return residuals, iterates

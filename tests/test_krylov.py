@@ -19,7 +19,7 @@ from lrkrylov.lowrank import truncate
 from lrkrylov.problems import inpainting_problem, phantom_problem, star_problem
 from lrkrylov.report import Discrepancy, SolveReport
 
-from dense import from_dense, identity_operator, to_dense
+from dense import from_dense, identity_operator, rs_lr_gmres_lstsq, to_dense
 
 
 def random_square_op(n_side, seed, shift=0.0):
@@ -415,6 +415,26 @@ class TestTruncatedSolvers:
         rep = rs_lr_gmres(prob.op, prob.b, 4, 2, 3, x_exact=prob.x_exact)
         assert max(rep.outer_indices) == 2
         assert rep.iterations == list(range(1, len(rep.iterations) + 1))
+        assert rep.stop_reason == "max_outer"
+
+    def test_rs_lr_gmres_truncating_matches_lstsq_reference(self):
+        # truncation_rank < n over one short cycle: truncation amplifies
+        # rounding, and a 40-step cycle at star n=64 already differs by 5e-10
+        prob = star_problem(16, noise_level=1e-3, seed=3)
+        residuals, iterates = rs_lr_gmres_lstsq(prob.op, prob.b, 12, 6)
+        rep = rs_lr_gmres(prob.op, prob.b, 12, 6, 1)
+        assert np.allclose(rep.residuals, residuals, rtol=1e-10, atol=0)
+        for j, x in enumerate(iterates, 1):  # a j-step cycle ends at x_j
+            got = rs_lr_gmres(prob.op, prob.b, j, 6, 1).final_x
+            assert np.linalg.norm(got - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_rs_lr_gmres_start_in_null_space(self):
+        # A r_0 = 0 breaks down A V = W S at its first column, so each
+        # cycle records the unchanged iterate once and restarts
+        op = from_dense(np.diag(np.arange(16.0)), 4)
+        rep = rs_lr_gmres(op, np.eye(16)[0], 5, 4, 2)
+        assert rep.residuals == [1.0, 1.0]
+        assert rep.outer_indices == [0, 1]
 
     def test_rs_lr_gmres_records_a_rejected_step_once(self):
         # A = I adds no direction to the basis, so each cycle rejects its
