@@ -21,9 +21,16 @@ column-major (Fortran-order) arrays sized once by the start function from
 the step budget, so a step writes a column in place and ``V_mat()`` and
 friends are views, not copies (desk scale, N <= 65536, <= 200 steps).
 
-Every lambda rule is served by one thin SVD H = P S Q^T of the projected
-matrix per iteration, so a trial lambda costs O(k), not a least-squares
-solve (the SVD-filter form of hybrid methods, Chung, Nagy & O'Leary 2008).
+The projected problem of each iteration is served, under the zero rule,
+by an updated QR: one Givens rotation a step extends a QR factorization
+of the projected matrix, y solves a triangular system and the projected
+residual is the last entry of the rotated beta e1 (GMRES, Saad & Schultz
+1986; LSQR, Paige & Saunders 1982).  A diagonal entry of R at lstsq's
+rank cutoff hands that step and the rest of the run to the SVD, which
+keeps the minimum-norm answer.  The other rules are served by one thin
+SVD H = P S Q^T of the projected matrix per iteration, so a trial lambda
+costs O(k), not a least-squares solve (the SVD-filter form of hybrid
+methods, Chung, Nagy & O'Leary 2008).
 
 The hybrid loop builds an iterate Z_k y only where something reads it:
 at every step of a flexible run, of a run whose iterates are mapped
@@ -33,6 +40,7 @@ errors from coefficients and builds its last and best iterates once, at
 the end.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,6 +274,42 @@ def projected_tikhonov(H, beta, lambda_hat, svd):
     return y, float(np.linalg.norm(H @ y - rhs))
 
 
+class _GivensQR:
+    """QR factorization of a growing (k + 1) x k upper-Hessenberg projected
+    matrix, for the zero rule: R (k x k) and the rotated right-hand side g,
+    g = beta e1 at the start.  ``extend`` applies the stored rotations to
+    the new column and forms one more, so ||H y - beta e1|| is least at
+    R y = g[:k], where it is |g[k]|."""
+
+    def __init__(self, beta, steps):
+        self.R = np.zeros((steps, steps), order="F")
+        self.g = np.zeros(steps + 1)
+        self.g[0] = beta
+        self.rotations = []  # (c, s) of each column so far
+        self.diag = 0.0  # max |R_jj|
+
+    def extend(self, col):
+        """Add column k (its k + 2 entries) and return (y, |g[k + 1]|), or
+        None when the new |R_kk| is at or below lstsq's rank cutoff
+        (k + 2) eps max_j |R_jj|: then the caller needs the SVD."""
+        k = len(self.rotations)
+        h = col.tolist()
+        for i, (c, s) in enumerate(self.rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = math.hypot(h[k], h[k + 1])
+        self.diag = max(self.diag, r)
+        if not r > col.size * np.finfo(float).eps * self.diag:
+            return None  # written so that NaN and inf go to the SVD too
+        c, s = h[k] / r, h[k + 1] / r
+        self.rotations.append((c, s))
+        self.R[:k, k] = h[:k]
+        self.R[k, k] = r
+        g = self.g
+        g[k], g[k + 1] = c * g[k], -s * g[k]
+        y = np.linalg.solve(self.R[: k + 1, : k + 1], g[: k + 1])
+        return y, abs(float(g[k + 1]))
+
+
 def _stop_from(stop):
     if stop is None:
         return None
@@ -343,14 +387,15 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     """The hybrid projection loop of every Arnoldi/GKB solver.
 
     Step k expands the (flexible when ``precondition`` is given) Arnoldi
-    or Golub-Kahan factorization of ``op`` from ``b``, takes one
-    ``projected_svd`` and solves the projected Tikhonov problem with the
-    lambda of ``lambda_rule``: 0, ``lambda_value`` ("fixed"), the best for
-    V_k^T ``x_target`` ("optimal"), or the secant step toward ``stop`` that
-    the previous step took, from a history each call starts afresh.  It
-    maps Z_k y through ``solution``, records the iterate and its lambda in
-    cycle ``outer`` of ``report`` and tests the stops; then, unless this
-    was the last step, ``after(x)`` runs.  A standard run with ``x_exact``
+    or Golub-Kahan factorization of ``op`` from ``b`` and solves the
+    projected Tikhonov problem with the lambda of ``lambda_rule``: 0, by
+    the updated QR (module docstring) until a step is rank deficient;
+    otherwise from one ``projected_svd``, with ``lambda_value`` ("fixed"),
+    the best for V_k^T ``x_target`` ("optimal"), or the secant step toward
+    ``stop`` that the previous step took, from a history each call starts
+    afresh.  It maps Z_k y through ``solution``, records the iterate and
+    its lambda in cycle ``outer`` of ``report`` and tests the stops; then,
+    unless this was the last step, ``after(x)`` runs.  A standard run with ``x_exact``
     records errors from coefficients instead and builds x once, at the end
     (module docstring).  Returns (x, stop reason).
     """
@@ -364,6 +409,7 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     history = []  # the secant rule's (lambda, residual) pairs
     state = (gkb_start if gkb else arnoldi_start)(op, b, max_iter)
     step = gkb_step if gkb else arnoldi_step
+    qr = _GivensQR(state.beta, max_iter) if lambda_rule == "zero" else None
     # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
     # r_j = r_{j-1} - t_j z_j from r_0 = x_exact, the error of Z_k y is
     # sqrt(||r_k||^2 + ||t - y||^2), one dot product and one axpy a column
@@ -380,11 +426,15 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
             reason = "breakdown"
             break
         proj = state.M_mat() if gkb else state.H_mat()
-        svd = projected_svd(proj, state.beta)
-        if lambda_rule == "optimal":
-            lam = optimal_lambda_search(
-                svd, state.V_mat()[:, : state.k].T @ x_target)
-        y, resid = projected_tikhonov(proj, state.beta, lam, svd)
+        if qr is not None and (solved := qr.extend(proj[:, -1])) is not None:
+            y, resid = solved
+        else:
+            qr = None  # another rule, or rank deficient from here on
+            svd = projected_svd(proj, state.beta)
+            if lambda_rule == "optimal":
+                lam = optimal_lambda_search(
+                    svd, state.V_mat()[:, : state.k].T @ x_target)
+            y, resid = projected_tikhonov(proj, state.beta, lam, svd)
         if coeffs:
             z = state.Z_mat()[:, -1]
             t.append(z @ r)

@@ -7,6 +7,7 @@ rank-capped synthetic textures (or a user-supplied image file).
 All generators are deterministic given their seed.
 """
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -23,6 +24,10 @@ from .linops import (
 )
 from .lowrank import truncate
 from .nnr import is_count
+
+# entries of the largest arrays a phantom builds, the n x n image and the
+# candidate crossings of every ray, rays x (2 n + 4): 512 MiB of doubles
+_MAX_ENTRIES = 2**26
 
 __all__ = [
     "TestProblem",
@@ -112,6 +117,11 @@ def phantom_problem(n, noise_level=1e-2, angle_span_degrees=90.0,
     for key, value in (("n", n), ("n_angles", n_angles),
                        ("detector_count", detector_count)):
         _check(key, value, is_count(value), "an integer >= 1")
+    _check("n", n, int(n) ** 2 <= _MAX_ENTRIES,
+           f"at most {math.isqrt(_MAX_ENTRIES)} (an n x n image)")
+    crossings = int(n_angles) * int(detector_count) * (2 * int(n) + 4)
+    _check("n_angles x detector_count x (2 n + 4)", crossings,
+           crossings <= _MAX_ENTRIES, f"at most {_MAX_ENTRIES}")
     centers = [(0.50, 0.50), (0.45, 0.55), (0.58, 0.42), (0.40, 0.40)]
     widths = [0.75, 0.60, 0.50, 0.42]
     amps = [1.0, 0.3, 0.15, 0.08]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrkrylov import cli
+from lrkrylov import cli, problems
 from lrkrylov.cli import ConfigError, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -370,6 +370,29 @@ class TestExitCodes:
         assert cli.run(path, out_dir=str(out)) == 1
         assert not (out / "summary.json").exists()
         assert f"{key} must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, named", [
+        ({"n": 16, "detector_count": 10**9}, "detector_count"),
+        ({"n": 16, "n_angles": 10**9}, "n_angles"),
+        ({"n": 10**8}, "n must be"),
+    ], ids=["detector_count", "n_angles", "n"])
+    def test_phantom_beyond_memory_is_exit_1(self, tmp_path, capsys,
+                                             monkeypatch, size, named):
+        # validated sizes that would ask for terabytes: nothing may be
+        # built, not even by a version without the bound (the image comes
+        # first, then the angles and the operator)
+        def build(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(problems, "tomography_operator", build)
+        monkeypatch.setattr(problems, "_bump_profile", build)
+        cfg = base_config(problem=dict({"type": "phantom"}, **size),
+                          solvers=[{"name": "lsqr", "max_iter": 3}])
+        path = write_config(tmp_path / "c.json", cfg)
+        assert cli.run(path, out_dir=str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "must be at most" in err
+        assert named in err
 
     @pytest.mark.parametrize("problem, key", [
         ({"type": "star", "n": 8}, "n"),

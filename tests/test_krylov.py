@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrkrylov import krylov, nnr
+from lrkrylov import cli, krylov, nnr
 from lrkrylov.krylov import (
     arnoldi_start,
     arnoldi_step,
@@ -509,6 +509,68 @@ class TestCoefficientErrors:
         assert coeffs.best[0] == built.best[0]
         assert np.allclose(coeffs.rel_errors, built.rel_errors, rtol=1e-12,
                            atol=0)
+
+
+class TestZeroRuleQR:
+    """The zero rule solves its projected problem by the updated QR and
+    takes no projected SVD unless a step is rank deficient."""
+
+    @staticmethod
+    def count_svds(monkeypatch):
+        shapes = []
+        svd = krylov.projected_svd
+
+        def spy(H, beta):
+            shapes.append(H.shape)
+            return svd(H, beta)
+
+        monkeypatch.setattr(krylov, "projected_svd", spy)
+        return shapes
+
+    @pytest.mark.parametrize("rule", ["zero", "fixed", "secant", "optimal"])
+    @pytest.mark.parametrize("fn", [gmres, lsqr], ids=["gmres", "lsqr"])
+    def test_only_the_other_rules_take_svds(self, monkeypatch, fn, rule):
+        prob = star_problem(16, seed=0)
+        shapes = self.count_svds(monkeypatch)
+        stop = Discrepancy(prob.noise_norm) if rule == "secant" else None
+        rep = fn(prob.op, prob.b, 8, stop=stop, lambda_rule=rule,
+                 lambda_value=0.05, x_exact=prob.x_exact)
+        assert len(rep.iterations) > 1
+        assert len(shapes) == (0 if rule == "zero" else len(rep.iterations))
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "gmres", "max_iter": 12},
+        {"name": "lsqr", "max_iter": 12},
+        {"name": "flsqr-nnrp", "max_iter": 12},
+    ], ids=lambda spec: spec["name"])
+    def test_matches_the_svd_path_at_every_iteration(self, monkeypatch,
+                                                     spec):
+        prob = cli.build_problem({"type": "star", "n": 16, "seed": 0})
+        qr = cli.run_solver(spec, prob)
+        # a QR that finds every step rank deficient: the SVD path throughout
+        monkeypatch.setattr(krylov._GivensQR, "extend", lambda self, col: None)
+        ref = cli.run_solver(spec, prob)
+        assert len(qr.iterations) == len(ref.iterations) == 12
+        assert np.allclose(qr.residuals, ref.residuals, rtol=1e-10, atol=0)
+        assert np.allclose(qr.rel_errors, ref.rel_errors, rtol=1e-10, atol=0)
+        for got, want in ((qr.final_x, ref.final_x), (qr.best_x, ref.best_x)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_zero_column_takes_the_minimum_norm_answer(self, monkeypatch):
+        # A e0 = e0 + e1 and A e1 = 0: from b = e0 the second column of H
+        # is zero, so R has a zero diagonal entry and the SVD takes over
+        A = np.eye(16)
+        A[:, :2] = 0.0
+        A[:2, 0] = 1.0
+        b = np.eye(16)[0]
+        shapes = self.count_svds(monkeypatch)
+        rep = gmres(from_dense(A, 4), b, 5, x_exact=b)
+        assert rep.stop_reason == "breakdown"
+        assert shapes == [(3, 2)]
+        H = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        y = np.linalg.pinv(H) @ b[:3]  # (1/2, 0)
+        assert np.allclose(rep.final_x, y[0] * b, rtol=0, atol=1e-15)
+        assert np.allclose(rep.residuals, np.sqrt(0.5), rtol=1e-15)
 
 
 def _identity_runs():

@@ -9,6 +9,9 @@ singular values run from 1 down to 1 / cond, cond <= 100.  A compression
 V_{k+1}^T A Z_k of A has its singular values in that range too, so H is
 no worse conditioned than A, and two backward-stable solvers must agree
 to about cond^2 eps.
+
+The zero rule's updated QR (``krylov._GivensQR``) is held to ``lstsq`` at
+every k on operators of cond <= 1e8.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from lrkrylov.krylov import (
     arnoldi_step,
     gkb_start,
     gkb_step,
+    _GivensQR,
     optimal_lambda_search,
     projected_svd,
     projected_tikhonov,
@@ -35,11 +39,12 @@ LAMBDAS = st.one_of(st.just(0.0), st.floats(1e-14, 1e2))
 
 
 @st.composite
-def projected(draw):
-    """(H, beta): k steps of Arnoldi or Golub-Kahan on a random operator."""
+def projected(draw, log_cond=2.0):
+    """(H, beta): k steps of Arnoldi or Golub-Kahan on a random operator
+    of cond <= 10^log_cond."""
     gkb = draw(st.booleans())
     k = draw(st.integers(1, 40))
-    cond = 10.0 ** draw(st.floats(0.0, 2.0))
+    cond = 10.0 ** draw(st.floats(0.0, log_cond))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     U, _ = np.linalg.qr(rng.standard_normal((SIZE, SIZE)))
     W, _ = np.linalg.qr(rng.standard_normal((SIZE, SIZE)))
@@ -122,3 +127,35 @@ def test_optimal_lambda_beats_every_grid_point(problem, lam_true, noise,
     # lambda = 0 stands for the bottom of the grid, which it matches to
     # about grid[1] cond^2 ||y|| = 3e-12 ||y||
     assert err(lam) <= best + 1e-10 * np.linalg.norm(target)
+
+
+@settings(deadline=None)
+@given(projected(log_cond=8.0))
+def test_givens_qr_matches_lstsq_at_every_step(problem):
+    H, beta = problem
+    qr = _GivensQR(beta, H.shape[1])
+    for k in range(1, H.shape[1] + 1):
+        Hk = H[: k + 1, :k]
+        y, resid = qr.extend(Hk[:, -1])
+        y0 = np.linalg.lstsq(Hk, rhs(Hk, beta), rcond=None)[0]
+        # two backward-stable solvers agree on y to about cond(H) eps, so
+        # within 1e-10 up to cond 1e4 and 1e-14 cond beyond (3.8e-10 has
+        # been seen at cond 1e6)
+        tol = RTOL * max(1.0, np.linalg.cond(Hk) / 1e4)
+        assert np.linalg.norm(y - y0) <= tol * np.linalg.norm(y0)
+        assert abs(resid - np.linalg.norm(Hk @ y0 - rhs(Hk, beta))) <= (
+            RTOL * beta)
+
+
+@settings(deadline=None)
+@given(projected(), st.data())
+def test_givens_qr_hands_a_zero_column_to_the_svd(problem, data):
+    H, beta = problem
+    zero = data.draw(st.integers(0, H.shape[1] - 1))
+    H[:, zero] = 0.0
+    qr = _GivensQR(beta, H.shape[1])
+    for k in range(zero):
+        assert qr.extend(H[: k + 2, k]) is not None
+    # rank deficient: the caller takes the minimum-norm SVD path from here
+    # (test_rank_deficient_gives_minimum_norm_solution)
+    assert qr.extend(H[: zero + 2, zero]) is None

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from lrkrylov import problems
 from lrkrylov.linops import unvec
 from lrkrylov.lowrank import svd
 from lrkrylov.problems import (
@@ -123,6 +124,25 @@ class TestPhantom:
     def test_detector_count_override(self):
         prob = phantom_problem(32, n_angles=10, detector_count=48, seed=2)
         assert prob.op.rows == 480
+
+    @pytest.mark.parametrize("size, named", [
+        ({"n": 16, "detector_count": 10**9}, "detector_count"),
+        ({"n": 16, "n_angles": 10**9}, "n_angles"),
+        ({"n": 10**8}, "n must be at most"),
+    ], ids=["detector_count", "n_angles", "n"])
+    def test_size_beyond_memory_rejected_before_building(self, monkeypatch,
+                                                         size, named):
+        # terabytes: no operator and no image may be built, not even by a
+        # version without the bound (an n x n image of n = 1e8 is beyond
+        # any address space, so allocating it fails at once)
+        def build(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(problems, "tomography_operator", build)
+        monkeypatch.setattr(problems, "_bump_profile", build)
+        with pytest.raises(ValueError, match="must be at most") as err:
+            phantom_problem(**size)
+        assert named in str(err.value)
 
 
 class TestInpainting:
