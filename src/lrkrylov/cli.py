@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import inspect
 import json
+import math
 import numbers
 import os
 import sys
@@ -200,7 +201,8 @@ def _validate_solver(spec, problem):
     n = problem.get("n", inspect.signature(problems.inpainting_problem)
                     .parameters["n"].default if kind == "inpainting" else None)
     # the keys NnrConfig does not check; 1.0 stands in for the noise norm
-    for key, value in _settings(spec, 1.0)[0].items():
+    settings, cfg = _settings(spec, 1.0)
+    for key, value in settings.items():
         if key.startswith("use_"):
             ok, want = isinstance(value, bool), "true or false"
         elif key in ("tau", "delta"):
@@ -218,6 +220,22 @@ def _validate_solver(spec, problem):
             and not spec.get("use_discrepancy", False)):
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
                           "discrepancy stop, \"use_discrepancy\": true")
+    # the largest basis, (budget + 1) x max(n^2, rows) entries, within the
+    # cap on a phantom's arrays; a problem past the cap alone names its key
+    angles = inspect.signature(problems.phantom_problem).parameters["n_angles"]
+    rows = (problem.get("n_angles", angles.default),
+            problem.get("detector_count") or n)
+    if nnr.is_count(n) and all(map(nnr.is_count, rows)):
+        size = max(n * n, math.prod(rows) if kind == "phantom" else 0)
+        key = next(k for k in ("max_iter", "max_inner", "restart_len")
+                   if k in solver.keys)
+        budget = settings[key] if key in settings else getattr(cfg, key)
+        top = problems._MAX_ENTRIES // size - 1
+        if 0 <= top < budget:
+            raise ConfigError(f"solver {name}: {key} must be at most {top}, "
+                              f"so that a basis of ({key} + 1) x {size} "
+                              f"entries fits in {problems._MAX_ENTRIES}, "
+                              f"got {budget}")
 
 
 # the top-level keys, each with its type

@@ -383,7 +383,7 @@ def optimal_lambda_search(svd, target):
 
 def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
            stop=None, precondition=None, solution=None, x_target=None,
-           x_exact=None, outer=0, after=None):
+           outer=0, after=None):
     """The hybrid projection loop of every Arnoldi/GKB solver.
 
     Step k expands the (flexible when ``precondition`` is given) Arnoldi
@@ -395,9 +395,9 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     ``stop`` that the previous step took, from a history each call starts
     afresh.  It maps Z_k y through ``solution``, records the iterate and
     its lambda in cycle ``outer`` of ``report`` and tests the stops; then,
-    unless this was the last step, ``after(x)`` runs.  A standard run with ``x_exact``
-    records errors from coefficients instead and builds x once, at the end
-    (module docstring).  Returns (x, stop reason).
+    unless this was the last step, ``after(x)`` runs.  With ``report.x_exact``
+    a standard run records errors from coefficients and builds its last and
+    best iterates from the y's at the end.  Returns (x, stop reason).
     """
     if lambda_rule not in ("zero", "fixed", "secant", "optimal"):
         raise ValueError(f"unknown lambda rule {lambda_rule!r}")
@@ -413,13 +413,13 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
     # r_j = r_{j-1} - t_j z_j from r_0 = x_exact, the error of Z_k y is
     # sqrt(||r_k||^2 + ||t - y||^2), one dot product and one axpy a column
-    coeffs = (x_exact is not None and precondition is None
+    coeffs = (report.x_exact is not None and precondition is None
               and solution is None and after is None)
     if coeffs:
-        r, t = np.array(x_exact, dtype=float), []
+        r, t = np.array(report.x_exact, dtype=float), []
         scale = np.linalg.norm(r)
     x, reason = np.zeros(op.cols), "max_iter"
-    last = best = None  # (k, y) of the iterates the coefficient path keeps
+    ys = []  # y of each step on the coefficient path
     for it in range(1, max_iter + 1):
         step(state, op, precondition)
         if state.k < it:
@@ -440,15 +440,14 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
             t.append(z @ r)
             r -= t[-1] * z
             off = t - y
-            err = np.sqrt(r @ r + off @ off) / scale
-            last = (state.k, y)
-            if report.record(outer, None, resid, lam, x_exact, err=err):
-                best = last
+            ys.append(y)
+            report.record(outer, None, resid, lam,
+                          err=np.sqrt(r @ r + off @ off) / scale)
         else:
             x = state.Z_mat() @ y  # not kept: one assembled basis at a time
             if solution is not None:
                 x = solution(x)
-            report.record(outer, x, resid, lam, x_exact)
+            report.record(outer, x, resid, lam)
         if lambda_rule == "secant":
             history.append((lam, resid))
             lam = secant_lambda_update(history, stop.epsilon, stop.theta,
@@ -461,11 +460,11 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
             break
         if after is not None and it < max_iter:
             after(x)
-    if last is not None:
-        x = report.final_x = state.Z_mat()[:, : last[0]] @ last[1]
-        if best is not None:
-            report.best_x = (x if best is last
-                             else state.Z_mat()[:, : best[0]] @ best[1])
+    if ys:  # y of step j has j entries; j <= 0: an earlier call's best
+        Z, j = state.Z_mat(), report.best[0] - len(report.iterations) + len(ys)
+        x = report.final_x = Z[:, : len(ys)] @ ys[-1]
+        if j > 0:
+            report.best_x = x if j == len(ys) else Z[:, :j] @ ys[j - 1]
     return x, reason
 
 
@@ -474,10 +473,9 @@ def run_hybrid(name, op, b, max_iter, stop, lambda_rule, lambda_value,
     """A single-loop solve as a report: the ``hybrid`` loop, its stop
     reason, and the spectrum of the best iterate."""
     stop = _stop_from(stop)
-    report = SolveReport(solver=name)
-    _, report.stop_reason = hybrid(op, b, max_iter, report, gkb,
-                                   lambda_rule, lambda_value, stop=stop,
-                                   x_exact=x_exact, **loop)
+    report = SolveReport(name, x_exact)
+    _, report.stop_reason = hybrid(op, b, max_iter, report, gkb, lambda_rule,
+                                   lambda_value, stop=stop, **loop)
     report.add_best_spectrum(op.image_side)
     return report
 
@@ -514,7 +512,7 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
     stop = _stop_from(stop)
     b = np.asarray(b, dtype=float)
     x = np.zeros(op.cols)
-    report = SolveReport(solver="rs-lr-gmres", stop_reason="max_outer")
+    report = SolveReport("rs-lr-gmres", x_exact, stop_reason="max_outer")
     Q = np.empty((op.cols, restart_len + 1), order="F")  # V = Q R and
     W = np.empty_like(Q)  # A V = W S of each cycle
     R = np.zeros((restart_len + 1, restart_len + 1), order="F")
@@ -546,7 +544,7 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
                 y = np.linalg.solve(S[:m, :m], g[:m])
                 xt = truncate(x + Q[:, :m] @ (R[:m, :m] @ y), truncation_rank)
                 resid = np.linalg.norm(b - op.matvec(xt))
-                report.record(outer, xt, resid, 0.0, x_exact)
+                report.record(outer, xt, resid, 0.0)
                 if stop is not None and stop.satisfied(resid):
                     report.stop_reason = "discrepancy"
                     break

@@ -121,22 +121,21 @@ def _reweighted_operator(op, rw, gkb, b):
 
 def reweighted_krylov_solve(op, b, reweighter, n_steps, report,
                             lambda_rule="zero", lambda_value=0.0, gkb=True,
-                            stop=None, outer=0, x_exact=None):
+                            stop=None, outer=0):
     """Run one reweighted inner solve from x = 0 with a fixed (W, S) pair,
     by Golub-Kahan (``gkb``) or Arnoldi, under the lambda rule spelt as in
     ``NnrConfig``, recording each iterate in cycle ``outer`` of the
-    ``SolveReport`` ``report``.  Returns (x, stop reason).  The inner
-    cycle of the IRN solvers.
+    ``SolveReport`` ``report``, whose ``x_exact`` the optimal rule aims
+    at.  Returns (x, stop reason).  The inner cycle of the IRN solvers.
     """
     wop, b0 = _reweighted_operator(op, reweighter, gkb, b)
     x_target = None
-    if lambda_rule == "optimal" and x_exact is not None:
-        x_target = apply_transform(reweighter, x_exact, "S", 1)
+    if lambda_rule == "optimal" and report.x_exact is not None:
+        x_target = apply_transform(reweighter, report.x_exact, "S", 1)
     return krylov.hybrid(
         wop, b0, n_steps, report, gkb, lambda_rule, lambda_value, stop=stop,
-        solution=lambda xh: apply_transform(reweighter, xh, "S_transpose",
-                                            -1),
-        x_target=x_target, x_exact=x_exact, outer=outer)
+        x_target=x_target, outer=outer, solution=lambda xh: apply_transform(
+            reweighter, xh, "S_transpose", -1))
 
 
 def irn_nnrp(op, b, config, gkb=True, x_exact=None):
@@ -154,12 +153,12 @@ def irn_nnrp(op, b, config, gkb=True, x_exact=None):
     gamma = config.gamma0
     rw = identity_reweighter(n)
     stop = config.stop()
-    report = SolveReport(solver=f"irn-{'lsqr' if gkb else 'gmres'}-nnrp")
+    report = SolveReport(f"irn-{'lsqr' if gkb else 'gmres'}-nnrp", x_exact)
     prev_spectrum = None
     for k in range(config.max_outer):
         x, reason = reweighted_krylov_solve(
             op, b, rw, config.max_inner, report, config.lambda_rule,
-            config.lambda_value, gkb=gkb, stop=stop, outer=k, x_exact=x_exact)
+            config.lambda_value, gkb=gkb, stop=stop, outer=k)
         f = svd(unvec(x, n))  # one factorization: spectrum and weights
         spectrum = report.add_spectrum(k, f.sigma)
         if prev_spectrum is not None and outer_stop_singular_values(
@@ -213,16 +212,17 @@ def svt(op, b, tau, delta, max_iter, stop=None, x_exact=None):
         raise ValueError("tau must be positive")
     if not delta > 0:
         raise ValueError("the step size delta must be positive")
+    stop = krylov._stop_from(stop)
     b = np.asarray(b, dtype=float)
     n = op.image_side
     y = np.zeros(op.rows)
-    report = SolveReport(solver="svt")
+    report = SolveReport("svt", x_exact)
     for _ in range(max_iter):
         x = vec(shrink(unvec(op.rmatvec(y), n), tau))
         resid_vec = b - op.matvec(x)
         resid = np.linalg.norm(resid_vec)
         y = y + delta * resid_vec
-        report.record(0, x, resid, 0.0, x_exact)
+        report.record(0, x, resid, 0.0)
         if stop is not None and stop.satisfied(resid):
             report.stop_reason = "discrepancy"
             break

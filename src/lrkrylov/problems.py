@@ -90,8 +90,8 @@ def star_problem(n, noise_level=1e-3, sigma_blur=2.0, seed=0, bandwidth=None):
     g2r = _gaussian_profile(n, 0.58 * n, 0.025 * n)
     g2c = _gaussian_profile(n, 0.56 * n, 0.025 * n)
     X = np.outer(g1r, g1c) + 0.8 * np.outer(g2r, g2c)
-    if bandwidth is None:
-        bandwidth = min(int(4 * sigma_blur) + 1, n)
+    if bandwidth is None:  # sigma 0 blurs nothing: the identity, band 0
+        bandwidth = min(int(4 * sigma_blur) + 1, n) if sigma_blur else 0
     op = gaussian_blur_operator(n, sigma_blur, bandwidth)
     return _add_noise(op, vec(X), noise_level, rng)
 

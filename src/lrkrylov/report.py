@@ -30,18 +30,19 @@ class Discrepancy:
 
 @dataclass
 class SolveReport:
-    """Iteration history of one solver run.
+    """Iteration history of one solver run against the solution x_exact.
 
     Residuals are the true norms for RS-LR-GMRES and SVT and the
     projected norms for the Arnoldi/GKB solvers.  The two coincide except
     for LR-FGMRES and LR-FLSQR, which record the projected residual of the
     untruncated Z_k y but return its rank-kappa truncation.  Relative
-    errors are NaN when no exact solution was supplied.  A solver that has
-    an iterate's error without the iterate records it as ``err`` and sets
-    ``final_x`` and ``best_x`` itself.
+    errors are NaN without ``x_exact``.  ``best_x`` is the iterate that
+    ``best`` names and ``final_x`` the last one; a solver that records an
+    iterate's error without the iterate sets both itself.
     """
 
     solver: str = ""
+    x_exact: np.ndarray | None = None
     iterations: list = field(default_factory=list)
     outer_indices: list = field(default_factory=list)
     rel_errors: list = field(default_factory=list)
@@ -51,26 +52,27 @@ class SolveReport:
     final_x: np.ndarray | None = None
     best_x: np.ndarray | None = None
     stop_reason: str = "max_iter"
+    _best: int | None = field(default=None, init=False, repr=False)
 
-    def record(self, outer, x, residual, lam, x_exact=None, err=None):
+    def record(self, outer, x, residual, lam, err=None):
         """Append iterate ``x`` of cycle ``outer`` as iteration len + 1, so
-        iterations run 1, 2, ... across every cycle of the run, and return
-        whether it is the new best.  ``err`` is its relative error when the
-        caller already has it; then ``x`` may be None, and the caller sets
-        ``final_x`` and ``best_x`` itself."""
+        iterations run 1, 2, ... across every cycle of the run.  ``err`` is
+        its relative error when the caller already has it; then ``x`` may
+        be None."""
         self.iterations.append(len(self.iterations) + 1)
         self.outer_indices.append(outer)
         self.residuals.append(float(residual))
         self.lambdas.append(float(lam))
-        if err is None and x_exact is not None:
-            err = np.linalg.norm(x_exact - x) / np.linalg.norm(x_exact)
-        self.rel_errors.append(np.nan if err is None else float(err))
-        best = len(self.rel_errors) == 1 or (
-            x_exact is not None and err == np.nanmin(self.rel_errors))
+        xe = self.x_exact
+        if err is None and xe is not None:
+            err = np.linalg.norm(xe - x) / np.linalg.norm(xe)
+        err = np.nan if err is None else float(err)
+        if not np.isnan(err) and not err >= self.best[1]:  # NaN: none yet
+            self._best = len(self.rel_errors)
+        self.rel_errors.append(err)
         self.final_x = x
-        if best:
+        if self._best in (None, len(self.rel_errors) - 1):
             self.best_x = x
-        return best
 
     def add_spectrum(self, outer, sigma):
         """Record sigma / sigma_1 for cycle ``outer`` and return it."""
@@ -87,11 +89,11 @@ class SolveReport:
 
     @property
     def best(self):
-        """(iteration, relative error) of the minimum recorded error."""
-        if not self.rel_errors or np.all(np.isnan(self.rel_errors)):
+        """(iteration, relative error) of the first minimum recorded error;
+        (iterations run, NaN) when every error is NaN."""
+        if self._best is None:
             return (len(self.iterations), np.nan)
-        idx = int(np.nanargmin(self.rel_errors))
-        return (idx + 1, self.rel_errors[idx])
+        return (self._best + 1, self.rel_errors[self._best])
 
     @property
     def min_rel_error(self):

@@ -59,9 +59,9 @@ def collect_iterates(solver_fn):
     captured = []
     orig = SolveReport.record
 
-    def spy(self, outer, x, resid, lam, x_exact=None):
+    def spy(self, outer, x, resid, lam, err=None):
         captured.append((np.array(x), float(resid)))
-        orig(self, outer, x, resid, lam, x_exact)
+        orig(self, outer, x, resid, lam, err)
 
     SolveReport.record = spy
     try:

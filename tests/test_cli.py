@@ -508,6 +508,25 @@ class TestExitCodes:
         assert "config error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem,solver,key", [
+        ({"type": "star", "n": 256}, "gmres", "max_iter"),
+        ({"type": "phantom", "n": 32, "n_angles": 1024, "detector_count": 64},
+         "irn-lsqr-nnrp", "max_inner"),
+        ({"type": "star", "n": 256}, "rs-lr-gmres", "restart_len"),
+    ], ids=["max_iter", "max_inner", "restart_len"])
+    def test_step_budget_bounded_by_basis_size(self, tmp_path, capsys,
+                                               problem, solver, key):
+        # the largest basis is (budget + 1) x 65536 entries in each case
+        # (n^2 = 65536 for the star, 1024 angles x 64 detectors for the
+        # phantom), so 1023 is the largest budget within 2^26 entries
+        for budget, code in ((1024, 1), (1023, 0)):
+            path = write_config(tmp_path / "c.json", {
+                "problem": problem,
+                "solvers": [{"name": solver, key: budget}]})
+            assert cli.run(path, validate_only=True) == code
+        err = capsys.readouterr().err
+        assert f"solver {solver}: {key} must be at most 1023" in err
+
     def test_validate_only(self, tmp_path, capsys):
         cfg = base_config()
         path = write_config(tmp_path / "c.json", cfg)

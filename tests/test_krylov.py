@@ -497,9 +497,9 @@ class TestCoefficientErrors:
         prob = make()
 
         def run(solution):
-            report = SolveReport()
+            report = SolveReport(x_exact=prob.x_exact)
             x, _ = krylov.hybrid(prob.op, prob.b, self.steps, report, gkb,
-                                 solution=solution, x_exact=prob.x_exact)
+                                 solution=solution)
             assert x is report.final_x
             return report
 

@@ -174,9 +174,9 @@ class TestReweightedSolve:
         rw = build_reweighter(svd(unvec(prob.b, 16)), 1.0, 1e-2)
         signs = np.where(np.arange(16) % 3 == 0, -1.0, 1.0)
         flipped = Reweighter(rw.U * signs, rw.V * signs, rw.inv_weights)
-        xs = [reweighted_krylov_solve(prob.op, prob.b, r, 8, SolveReport(),
-                                      rule, gkb=inner == "gkb",
-                                      x_exact=prob.x_exact)[0]
+        xs = [reweighted_krylov_solve(prob.op, prob.b, r, 8,
+                                      SolveReport(x_exact=prob.x_exact),
+                                      rule, gkb=inner == "gkb")[0]
               for r in (rw, flipped)]
         assert np.array_equal(xs[0], xs[1])
 
@@ -187,9 +187,9 @@ class TestReweightedSolve:
         xs = []
         orig = SolveReport.record
 
-        def spy(self, outer, x, resid, lam, x_exact=None):
+        def spy(self, outer, x, resid, lam, err=None):
             xs.append((np.array(x), resid))
-            orig(self, outer, x, resid, lam, x_exact)
+            orig(self, outer, x, resid, lam, err)
 
         SolveReport.record = spy
         try:
@@ -346,6 +346,12 @@ class TestSvt:
         tau = 1e6 * np.linalg.norm(prob.b)
         rep = svt(prob.op, prob.b, tau, 0.5, 5)
         assert np.all(rep.final_x == 0)
+
+    def test_unsupported_stop_rejected_up_front(self):
+        # a bare number is no stopping rule, for svt as for gmres and lsqr
+        prob = star_problem(16, noise_level=1e-3, seed=14)
+        with pytest.raises(TypeError, match="unsupported stopping rule"):
+            svt(prob.op, prob.b, 1.0, 1.0, 3, stop=1e-3)
 
     def test_invalid_parameters(self):
         prob = star_problem(16, noise_level=1e-3, seed=14)

@@ -25,6 +25,14 @@ class TestStar:
         x = np.arange(256.0)
         assert np.array_equal(star_problem(16, bandwidth=0).op.matvec(x), x)
 
+    def test_zero_sigma_is_the_identity(self):
+        # the default bandwidth int(4 sigma) + 1 would be 1, a band that
+        # sigma 0 cannot fill: sigma 0 takes band 0, no blur at all
+        op = star_problem(16, sigma_blur=0).op
+        x = np.random.default_rng(0).standard_normal(256)
+        assert np.array_equal(op.matvec(x), x)
+        assert np.array_equal(op.rmatvec(x), x)
+
     def test_exact_rank_two(self):
         prob = star_problem(32, seed=0)
         assert numeric_rank(prob.x_exact, 32) == 2
