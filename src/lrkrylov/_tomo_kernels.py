@@ -45,27 +45,20 @@ def _next_plane(p, d, t):
 
 
 def _walk(t, tmax, axes):
-    """Each sorted candidate's next boundary on the walk from tmin, and
-    whether the walk visits it."""
+    """Each sorted candidate's next boundary on the walk from tmin.
+
+    The walk visits a candidate when its t is at or past ``reach``, the
+    largest next plane of the candidates visited before it, and a visited
+    candidate raises ``reach`` to its own next plane.  A candidate the walk
+    steps over gets itself as next boundary: a zero chord."""
     tnext = np.broadcast_to(tmax, t.shape)
     for p, d in axes:
         tnext = np.minimum(tnext, _next_plane(p, d, t))
-    # The walk from tmin visits a candidate when no candidate it visited
-    # before has its next plane beyond it.  That depends only on earlier
-    # candidates, so rounds started from "all visited" settle on the walk.
-    # A round is final when no candidate that joined or left the visited
-    # set lifts the reach; more than one round takes a ray grazing two
-    # planes at once.
-    visited = np.ones(t.shape, dtype=bool)
-    lift = tnext
-    while True:
-        reach = np.maximum.accumulate(lift, axis=1)[:, :-1]
-        visited[:, 1:] = t[:, 1:] >= reach
-        walk = np.where(visited, tnext, -np.inf)
-        if not ((walk[:, 1:] != lift[:, 1:]) & (tnext[:, 1:] > reach)).any():
-            break
-        lift = walk
-    return tnext, visited
+    reach = np.full(t.shape[0], -np.inf)
+    for tk, nk in zip(t.T, tnext.T):  # candidate k of every ray, in order
+        np.copyto(nk, tk, where=tk < reach)
+        np.maximum(reach, nk, out=reach)
+    return tnext
 
 
 def _trace_angle(n, theta, offsets):
@@ -106,14 +99,11 @@ def _trace_angle(n, theta, offsets):
     seg = tnext - start
     close = (seg > 0.0) & (seg <= _GAP / min(abs(d) for _, d in axes))
     near = np.flatnonzero(close.any(axis=1))
-    visited = np.ones(start.shape, dtype=bool)
     if near.size:
-        w_next, w_visited = _walk(t[near], tmax[near],
-                                  [(p[near], d) for p, d in axes])
-        tnext[near] = w_next[:, :-1]
+        tnext[near] = _walk(t[near], tmax[near],
+                            [(p[near], d) for p, d in axes])[:, :-1]
         seg[near] = tnext[near] - start[near]
-        visited[near] = w_visited[:, :-1]
-    chord = visited & (start < tmax - _EPS) & (seg > _EPS)
+    chord = (start < tmax - _EPS) & (seg > _EPS)
     # the cell holding the midpoint of each chord
     tm = 0.5 * (start + tnext)
     j = np.floor(px[rays, None] + tm * -st)

@@ -221,7 +221,7 @@ def _validate_solver(spec, problem):
         raise ConfigError(f"solver {name}: lambda_rule 'secant' needs a "
                           "discrepancy stop, \"use_discrepancy\": true")
     # the largest basis, (budget + 1) x max(n^2, rows) entries, within the
-    # cap on a phantom's arrays; a problem past the cap alone names its key
+    # cap on a problem's arrays; a problem past the cap alone names its key
     angles = inspect.signature(problems.phantom_problem).parameters["n_angles"]
     rows = (problem.get("n_angles", angles.default),
             problem.get("detector_count") or n)

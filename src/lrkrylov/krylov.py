@@ -404,7 +404,9 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     if lambda_rule == "secant" and stop is None:
         raise ValueError("the secant rule needs a discrepancy stop")
     if lambda_rule == "optimal" and x_target is None:
-        raise ValueError("the optimal lambda rule needs the exact solution")
+        raise ValueError("the optimal lambda rule needs a target on the "
+                         "basis (x_target, from x_exact); the flexible and "
+                         "low-rank solvers have none")
     lam = lambda_value if lambda_rule == "fixed" else 0.0
     history = []  # the secant rule's (lambda, residual) pairs
     state = (gkb_start if gkb else arnoldi_start)(op, b, max_iter)

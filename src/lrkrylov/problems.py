@@ -25,8 +25,8 @@ from .linops import (
 from .lowrank import truncate
 from .nnr import is_count
 
-# entries of the largest arrays a phantom builds, the n x n image and the
-# candidate crossings of every ray, rays x (2 n + 4): 512 MiB of doubles
+# entries of the largest arrays a problem builds, the n x n image and a
+# phantom's crossings of every ray, rays x (2 n + 4): 512 MiB of doubles
 _MAX_ENTRIES = 2**26
 
 __all__ = [
@@ -78,6 +78,8 @@ def _gaussian_profile(n, center, width):
 def star_problem(n, noise_level=1e-3, sigma_blur=2.0, seed=0, bandwidth=None):
     """Deblurring of an exactly rank-2 two-spot image."""
     _check("n", n, is_count(n, low=16), "an integer >= 16")
+    _check("n", n, int(n) ** 2 <= _MAX_ENTRIES,
+           f"at most {math.isqrt(_MAX_ENTRIES)} (an n x n image)")
     if bandwidth is not None:
         _check("bandwidth", bandwidth, is_count(bandwidth, n, low=0),
                f"an integer in [0, {n}]")
@@ -192,6 +194,8 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
     missing pixels) or "structured" (seeded rectangles and disks).
     """
     _check("n", n, is_count(n), "an integer >= 1")
+    _check("n", n, int(n) ** 2 <= _MAX_ENTRIES,
+           f"at most {math.isqrt(_MAX_ENTRIES)} (an n x n image)")
     _check("rank_cap", rank_cap, is_count(rank_cap, n),
            f"an integer in [1, {n}]")
     _check("blur_steps", blur_steps, is_count(blur_steps), "an integer >= 1")

@@ -394,6 +394,26 @@ class TestExitCodes:
         assert "must be at most" in err
         assert named in err
 
+    @pytest.mark.parametrize("kind, first_array", [
+        ("star", "_gaussian_profile"), ("inpainting", "_peppers_texture")])
+    def test_image_beyond_memory_is_exit_1(self, tmp_path, capsys,
+                                           monkeypatch, kind, first_array):
+        # validation passes these, since no step budget bounds a problem
+        # past the cap; the builder must refuse an 80 GB image before it
+        # builds its first array
+        def build(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(problems, first_array, build)
+        cfg = {"problem": {"type": kind, "n": 100000},
+               "solvers": [{"name": "gmres" if kind == "star" else "lsqr"}]}
+        path = write_config(tmp_path / "c.json", cfg)
+        validate_config(cfg)
+        out = tmp_path / "o"
+        assert cli.run(path, out_dir=str(out)) == 1
+        assert not (out / "summary.json").exists()
+        assert "problem: n must be at most 8192" in capsys.readouterr().err
+
     @pytest.mark.parametrize("problem, key", [
         ({"type": "star", "n": 8}, "n"),
         ({"type": "star", "n": True}, "n"),

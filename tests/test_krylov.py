@@ -375,6 +375,15 @@ class TestGmresLsqr:
         assert rep.stop_reason == "discrepancy"
         assert rep.residuals[-1] <= 1.01 * prob.noise_norm
 
+    def test_lsqr_breaks_down_in_a_first_half_step(self):
+        # v_1 = e_1, and A^T u_2 lies along it: step 2 finds no alpha_2 and
+        # records nothing, so the run ends on x_1 = e_1
+        rep = lsqr(from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), np.ones(4), 5)
+        assert rep.stop_reason == "breakdown"
+        assert rep.iterations == [1]
+        np.testing.assert_allclose(rep.final_x, np.eye(4)[0], rtol=0,
+                                   atol=1e-15)
+
     @pytest.mark.parametrize("fn", [gmres, lsqr])
     def test_secant_rule_needs_a_stop(self, fn):
         # without a discrepancy stop the secant rule would stay at lambda 0
@@ -391,6 +400,19 @@ class TestGmresLsqr:
     def test_optimal_rule_needs_the_exact_solution(self, fn):
         with pytest.raises(ValueError, match="optimal"):
             fn(identity_operator(4), np.ones(16), 3, lambda_rule="optimal")
+
+    @pytest.mark.parametrize("run", [
+        lambda p: lr_flsqr(p.op, p.b, 4, 4, 3, lambda_rule="optimal",
+                           x_exact=p.x_exact),
+        lambda p: nnr.flexible_nnrp(p.op, p.b,
+                                    nnr.NnrConfig(lambda_rule="optimal"),
+                                    x_exact=p.x_exact),
+    ], ids=["lr_flsqr", "flexible_nnrp"])
+    def test_optimal_rule_names_the_missing_target(self, run):
+        # x_exact is given: the cause is that a flexible basis has no target
+        with pytest.raises(ValueError, match="the flexible and low-rank "
+                                             "solvers have none"):
+            run(star_problem(16, seed=1))
 
 
 class TestTruncatedSolvers:
@@ -409,6 +431,25 @@ class TestTruncatedSolvers:
         rep = rs_lr_gmres(op, b, 3, 4, 3)
         assert rep.stop_reason == "zero_residual"
         assert np.linalg.norm(rep.final_x - b) <= 1e-10
+
+    def test_rs_lr_gmres_rejects_a_rectangular_operator(self):
+        with pytest.raises(ValueError, match="requires a square operator"):
+            rs_lr_gmres(from_dense(np.ones((3, 4))), np.ones(3), 3, 2, 1)
+
+    def test_rs_lr_gmres_discrepancy_stop_ends_the_run(self):
+        # the level of the first step of cycle 1, which no earlier step
+        # meets: the stop ends that cycle, and cycle 2 never runs
+        prob = star_problem(16, noise_level=1e-3, seed=5)
+        free = rs_lr_gmres(prob.op, prob.b, 4, 2, 3)
+        j = free.outer_indices.index(1) + 1
+        stop = Discrepancy(free.residuals[j - 1])
+        assert min(free.residuals[: j - 1]) > stop.theta * stop.epsilon
+        assert free.outer_indices[j:j + 1] == [1]  # cycle 1 would go on
+        rep = rs_lr_gmres(prob.op, prob.b, 4, 2, 3, stop=stop)
+        assert rep.stop_reason == "discrepancy"
+        assert rep.iterations == list(range(1, j + 1))
+        assert rep.outer_indices == free.outer_indices[:j]
+        assert rep.residuals == free.residuals[:j]
 
     def test_rs_lr_gmres_restarts_recorded(self):
         prob = star_problem(16, noise_level=1e-3, seed=5)

@@ -45,6 +45,23 @@ class TestVecUnvec:
             vec(np.zeros((3, 4)))
 
 
+class TestOperatorChecks:
+    def test_dimensions_must_be_positive(self):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            linops.LinearOperator(0, 4, 2, None, None)
+
+    def test_image_side_must_square_to_cols(self):
+        with pytest.raises(ValueError, match=r"image_side\^2 = 9 != cols = 4"):
+            linops.LinearOperator(4, 4, 3, None, None)
+
+    def test_applies_check_their_lengths(self):
+        op = identity_operator(2)
+        with pytest.raises(ValueError, match="expected length 4, got 3"):
+            op.matvec(np.ones(3))
+        with pytest.raises(ValueError, match="expected length 4, got 5"):
+            op.rmatvec(np.ones(5))
+
+
 class TestBlur:
     def test_zero_sigma_is_identity(self):
         op = gaussian_blur_operator(6, 0.0, 0)
@@ -63,6 +80,10 @@ class TestBlur:
     def test_row_sums(self):
         B = _blur_band_matrix(8, 1.0, 3)
         assert np.abs(B.sum(axis=1) - 1).max() <= 1e-14
+
+    def test_band_wider_than_the_image_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth must not exceed n"):
+            gaussian_blur_operator(4, 1.0, 5)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +198,10 @@ class TestTomography:
         with pytest.raises(ValueError):
             tomography_operator(8, [], 8)
 
+    def test_no_detectors_rejected(self):
+        with pytest.raises(ValueError, match="detector_count must be >= 1"):
+            tomography_operator(8, [0.0], 0)
+
     def test_limited_angle_underdetermined(self):
         op = tomography_operator(16, np.deg2rad(np.linspace(0, 90, 10)), 16)
         assert op.rows < op.cols
@@ -203,6 +228,16 @@ class TestInpainting:
         x = rng.standard_normal(256)
         assert np.linalg.norm(
             op.matvec(x) - blur.matvec(x)[mask]) <= 1e-14
+
+    def test_mask_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length 16, got 15"):
+            inpainting_operator(4, np.ones(15, dtype=bool),
+                                identity_operator(4))
+
+    def test_blur_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"must be n\^2 x n\^2"):
+            inpainting_operator(4, np.ones(16, dtype=bool),
+                                identity_operator(3))
 
     def test_all_false_mask_rejected(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,11 @@ class TestSecant:
         assert (secant_lambda_update(hist, 1.0, 1.01, h_norm2=1.0)
                 == krylov._LAMBDA_MAX)
 
+    def test_equal_residuals_keep_the_last_lambda(self):
+        # a secant through two equal residuals has no root to step to
+        assert secant_lambda_update([(0.0, 2.0), (0.5, 2.0)], 1.0, 1.01,
+                                    h_norm2=4.0) == 0.5
+
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             secant_lambda_update([], 1.0, 1.01, h_norm2=1.0)
@@ -346,6 +351,17 @@ class TestSvt:
         tau = 1e6 * np.linalg.norm(prob.b)
         rep = svt(prob.op, prob.b, tau, 0.5, 5)
         assert np.all(rep.final_x == 0)
+
+    def test_discrepancy_stop(self):
+        # the level of iteration 8, which no earlier iteration meets
+        prob = star_problem(16, noise_level=1e-3, seed=11)
+        free = svt(prob.op, prob.b, 0.5, 0.9, 15)
+        stop = Discrepancy(free.residuals[7])
+        assert min(free.residuals[:7]) > stop.theta * stop.epsilon
+        rep = svt(prob.op, prob.b, 0.5, 0.9, 15, stop=stop)
+        assert rep.stop_reason == "discrepancy"
+        assert rep.iterations == list(range(1, 9))
+        assert rep.residuals == free.residuals[:8]
 
     def test_unsupported_stop_rejected_up_front(self):
         # a bare number is no stopping rule, for svt as for gmres and lsqr

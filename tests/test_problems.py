@@ -108,6 +108,26 @@ def test_bad_seed_rejected(make, seed):
         make(seed)
 
 
+@pytest.mark.parametrize("make, first_array", [
+    (star_problem, "_gaussian_profile"),
+    (lambda n: inpainting_problem(n=n), "_peppers_texture"),
+], ids=["star", "inpainting"])
+def test_image_beyond_memory_rejected_before_building(monkeypatch, make,
+                                                      first_array):
+    # an 8193 x 8193 image is 537 MB; n = 8192 passes the check and reaches
+    # the builder of the first array, which stands in for the allocation
+    def build(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(problems, first_array, build)
+    with pytest.raises(ValueError,
+                       match=r"^n must be at most 8192 \(an n x n image\), "
+                             r"got 8193$"):
+        make(8193)
+    with pytest.raises(AssertionError, match="built"):
+        make(8192)
+
+
 class TestPhantom:
     def test_exact_rank_four(self):
         prob = phantom_problem(64, seed=0)
@@ -171,8 +191,9 @@ class TestInpainting:
         assert prob.op.rows < prob.op.cols
 
     def test_unknown_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            inpainting_problem("house-like", n=32, pattern="swirl")
+        with pytest.raises(ValueError, match="unknown mask pattern 'swirl'"):
+            inpainting_problem("house-like", n=32, rank_cap=8,
+                               pattern="swirl")
 
     def test_rank_cap_above_n_rejected(self):
         with pytest.raises(ValueError):
@@ -219,8 +240,9 @@ class TestInpainting:
     def test_wrong_image_size_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         write_pgm(path, np.zeros((16, 16)))
-        with pytest.raises(ValueError):
-            inpainting_problem(str(path), n=32)
+        with pytest.raises(ValueError, match=r"image file has shape "
+                                             r"\(16, 16\), expected \(32, 32\)"):
+            inpainting_problem(str(path), n=32, rank_cap=8)
 
 
 class TestPgm:

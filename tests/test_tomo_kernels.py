@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siddon_oracle
+from lrkrylov import _tomo_kernels
 from lrkrylov._tomo_kernels import trace_rays
 
 VAL_TOL = 1e-12
@@ -67,6 +68,18 @@ GEOMETRIES = {
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_matches_oracle(name):
     assert_matches_oracle(*GEOMETRIES[name])
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_walking_every_ray_changes_no_bit(monkeypatch, name):
+    # the differences of sorted candidates are the walk's chords, to the
+    # bit, on rays with no close candidates; an infinite safe gap walks
+    # them all (a huge finite one overflows on the axis-aligned rays)
+    want = trace_rays(*GEOMETRIES[name])
+    monkeypatch.setattr(_tomo_kernels, "_GAP", np.inf)
+    got = trace_rays(*GEOMETRIES[name])
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_axis_aligned_rays_have_unit_chords():
