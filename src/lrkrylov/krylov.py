@@ -357,7 +357,9 @@ def optimal_lambda_search(svd, target):
     grid = _LAMBDA_GRID
     vals = [err(g) for g in grid]
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
+    if i == 0:  # bracket [grid[0], grid[1]]: every refinement maps to 0.0
+        return 0.0
+    lo = grid[i - 1]
     hi = grid[min(i + 1, len(grid) - 1)]  # lo < hi: the grid increases
     # golden section on log(lambda)
     a, b = np.log(lo), np.log(hi)

@@ -1,10 +1,12 @@
 """SVD-based primitives: rank truncation, singular value shrinkage, and
 the reweighting transform of the smooth Schatten-p surrogate, built from
-Kronecker products of SVD factors.
+the left singular vectors U.
 
 The weight matrix W = I (x) diag(w) and the orthogonal transform
-S = V^T (x) U^T are never materialized; all applications go through
-n x n three-matrix products (O(n^3) flops for vectors of length n^2).
+S = I (x) U^T are never materialized; all applications go through
+n x n two-matrix products (O(n^3) flops for vectors of length n^2).
+The paper's S = V^T (x) U^T has the same penalty and S^T W^q S, since
+(V (x) U)(I (x) D)(V^T (x) U^T) = I (x) U D U^T for diagonal D.
 """
 
 from dataclasses import dataclass
@@ -39,8 +41,9 @@ class SvdTriple:
 def svd(X):
     """Full SVD X = U diag(sigma) V^T, column signs as LAPACK gives them.
 
-    Every result built from the factors pairs column i of U with column
-    i of V, and negating both negates only factors that meet in pairs;
+    ``truncate`` and ``shrink`` pair column i of U with column i of V,
+    and the reweighter pairs each column of U with itself, so negating
+    a column (of both U and V) negates only factors that meet in pairs;
     negation is exact, so a sign convention would change no bit.
     """
     X = np.asarray(X, dtype=float)
@@ -71,15 +74,14 @@ def shrink(X, tau):
 
 @dataclass(frozen=True)
 class Reweighter:
-    """The pair (W, S) stored implicitly through SVD factors.
+    """The pair (W, S) stored implicitly through the left SVD factor.
 
-    S = V^T (x) U^T and W = I (x) diag(inv_weights**-1); ``inv_weights``
+    S = I (x) U^T and W = I (x) diag(inv_weights**-1); ``inv_weights``
     (the diagonal of W^{-1}) is stored because it stays finite for the
     basis-vector variant, where plain weights can blow up at sigma = 0.
     """
 
     U: np.ndarray
-    V: np.ndarray
     inv_weights: np.ndarray
 
     @property
@@ -89,8 +91,7 @@ class Reweighter:
 
 def identity_reweighter(n):
     """W_0 = I, S_0 = I: the starting reweighter of every solver."""
-    eye = np.eye(n)
-    return Reweighter(eye, eye, np.ones(n))
+    return Reweighter(np.eye(n), np.ones(n))
 
 
 def build_reweighter(f, p, gamma):
@@ -101,7 +102,7 @@ def build_reweighter(f, p, gamma):
     if not gamma > 0:  # written so that NaN fails
         raise ValueError("gamma must be positive")
     inv_w = (f.sigma**2 + gamma) ** (0.5 - p / 4.0)
-    return Reweighter(f.U, f.V, inv_w)
+    return Reweighter(f.U, inv_w)
 
 
 def build_reweighter_from_basis(v_i, p):
@@ -115,7 +116,7 @@ def build_reweighter_from_basis(v_i, p):
     n = int(round(np.sqrt(v_i.size)))
     f = svd(unvec(v_i, n))
     inv_w = f.sigma ** (0.5 - p / 4.0)
-    return Reweighter(f.U, f.V, inv_w)
+    return Reweighter(f.U, inv_w)
 
 
 def _weight_diag(rw, power):
@@ -127,8 +128,8 @@ def _weight_diag(rw, power):
 def apply_transform(rw, v, direction, weight_power=0):
     """Apply S or S^T with an optional weight in the transformed domain.
 
-    direction "S":            W^q @ (S v)   = vec(D (U^T unvec(v) V))
-    direction "S_transpose":  S^T @ (W^q v) = vec(U (D unvec(v)) V^T)
+    direction "S":            W^q @ (S v)   = vec(D (U^T unvec(v)))
+    direction "S_transpose":  S^T @ (W^q v) = vec(U (D unvec(v)))
 
     so round-tripping with weight_power 0 is the identity, and composing
     ("S", q) then ("S_transpose", 0) gives S^T W^q S.
@@ -140,18 +141,16 @@ def apply_transform(rw, v, direction, weight_power=0):
     M = unvec(v, n)
     d = _weight_diag(rw, weight_power)
     if direction == "S":
-        out = d[:, None] * (rw.U.T @ M @ rw.V)
+        out = d[:, None] * (rw.U.T @ M)
     elif direction == "S_transpose":
-        out = rw.U @ (d[:, None] * M) @ rw.V.T
+        out = rw.U @ (d[:, None] * M)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return vec(out)
 
 
 def precondition(rw, v, weight_power):
-    """Composite S^T W^q S v in one O(n^3) chain."""
+    """Composite S^T W^q S v = vec(U D U^T unvec(v)) in two products."""
     v = np.asarray(v, dtype=float)
-    n = rw.side
-    M = rw.U.T @ unvec(v, n) @ rw.V
-    M = _weight_diag(rw, weight_power)[:, None] * M
-    return vec(rw.U @ M @ rw.V.T)
+    d = _weight_diag(rw, weight_power)
+    return vec(rw.U @ (d[:, None] * (rw.U.T @ unvec(v, rw.side))))

@@ -102,7 +102,7 @@ def outer_stop_singular_values(sigma_prev, sigma_curr, tau_sigma):
 
 def _reweighted_operator(op, rw, gkb, b):
     """The operator of one reweighted inner solve, with its true adjoint,
-    and its start vector.
+    and its start vector, for S = I (x) U^T (``lowrank``).
 
     gkb:     A_hat = A S^T W^{-1}          (right preconditioning), b
     arnoldi: A_hat = S A S^T W^{-1}        (orthogonal left + right), S b
@@ -142,11 +142,11 @@ def irn_nnrp(op, b, config, gkb=True, x_exact=None):
     """Inner-outer iteratively reweighted nuclear-norm solver:
     irn-lsqr-nnrp with ``gkb``, irn-gmres-nnrp (Arnoldi) without.
 
-    Each outer cycle rebuilds (W, S) from the SVD of the current iterate
-    (identity at the start), reruns the preconditioned Krylov method from
-    x = 0 until the discrepancy principle or the inner budget, then
-    decreases gamma.  Outer iterations stop when consecutive normalized
-    spectra agree to within tau_sigma.
+    Each outer cycle rebuilds (W, S = I (x) U^T) from the SVD of the
+    current iterate (identity at the start), reruns the preconditioned
+    Krylov method from x = 0 until the discrepancy principle or the inner
+    budget, then decreases gamma.  Outer iterations stop when consecutive
+    normalized spectra agree to within tau_sigma.
     """
     b = np.asarray(b, dtype=float)
     n = op.image_side

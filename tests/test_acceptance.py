@@ -131,7 +131,7 @@ def test_03_projected_residual_equals_true_residual():
     cfg = NnrConfig(max_iter=12, max_outer=2, max_inner=6)
     # lr-fgmres and lr-flsqr are left out: they record the projected
     # residual of the untruncated Z_k y but return its truncation (ROADMAP
-    # item 3, defect 1)
+    # item 1)
     runs = {
         "gmres": lambda: gmres(op, b, 12),
         "lsqr": lambda: lsqr(op, b, 12),
@@ -164,9 +164,10 @@ def test_04_reweighted_solve_reaches_fixed_point():
     A = rng.standard_normal((n * n, n * n))
     op = from_dense(A, n)
     b = rng.standard_normal(n * n)
-    rw = build_reweighter(svd(rng.standard_normal((n, n))), 1.0, 1e-2)
+    f = svd(rng.standard_normal((n, n)))
+    rw = build_reweighter(f, 1.0, 1e-2)
     lam = 0.1
-    S = np.kron(rw.V.T, rw.U.T)
+    S = np.kron(f.V.T, f.U.T)  # the paper's two-sided transform
     W = np.diag(np.tile(1.0 / rw.inv_weights, n))
     x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
     worst = 0.0
@@ -182,8 +183,10 @@ def test_04_reweighted_solve_reaches_fixed_point():
 
 def test_05_implicit_transform_matches_kronecker():
     rng = np.random.default_rng(103)
-    rw = build_reweighter(svd(rng.standard_normal((4, 4))), 0.75, 1e-2)
-    S = np.kron(rw.V.T, rw.U.T)
+    f = svd(rng.standard_normal((4, 4)))
+    rw = build_reweighter(f, 0.75, 1e-2)
+    S = np.kron(f.V.T, f.U.T)  # the paper's transform, for S^T W^q S
+    S1 = np.kron(np.eye(4), rw.U.T)  # the package's S' = I (x) U^T
     W_diag = np.tile(1.0 / rw.inv_weights, 4)
     worst = 0.0
     for power in (-2, -1, 0, 1):
@@ -192,7 +195,7 @@ def test_05_implicit_transform_matches_kronecker():
             want = S.T @ (W_diag**power * (S @ v))
             worst = max(worst,
                         np.linalg.norm(precondition(rw, v, power) - want))
-            want_s = W_diag**power * (S @ v)
+            want_s = W_diag**power * (S1 @ v)
             got_s = apply_transform(rw, v, "S", weight_power=power)
             worst = max(worst, np.linalg.norm(got_s - want_s))
     assert worst <= 1e-12

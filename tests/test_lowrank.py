@@ -149,14 +149,14 @@ class TestSmoothSchatten:
             smooth_schatten_gradient(np.eye(2), 1.0, -1.0)
 
 
-def explicit_pair(rw):
-    """Dense S = V^T (x) U^T and diag(W) for cross-checking."""
-    S = np.kron(rw.V.T, rw.U.T)
+def explicit_pair(f, rw):
+    """Dense transforms and diag(W) for cross-checking: the paper's
+    S = V^T (x) U^T from the SVD f, and the package's S' = I (x) U^T."""
     n = rw.side
     with np.errstate(divide="ignore"):
         w = 1.0 / rw.inv_weights
     W_diag = np.tile(w, n)  # I (x) diag(w) scales rows of unvec
-    return S, W_diag
+    return np.kron(f.V.T, f.U.T), np.kron(np.eye(n), rw.U.T), W_diag
 
 
 class TestReweighter:
@@ -184,16 +184,39 @@ class TestReweighter:
 
     @pytest.mark.parametrize("power", [-2, -1, 0, 1])
     def test_matches_explicit_kronecker(self, power):
+        # the composite against the paper's S, the transform against S'
         rng = np.random.default_rng(13)
-        rw = build_reweighter(svd(rng.standard_normal((4, 4))), 0.75, 1e-2)
-        S, W_diag = explicit_pair(rw)
+        f = svd(rng.standard_normal((4, 4)))
+        rw = build_reweighter(f, 0.75, 1e-2)
+        S, S1, W_diag = explicit_pair(f, rw)
         for _ in range(10):
             v = rng.standard_normal(16)
             want = S.T @ (W_diag**power * (S @ v))
             assert np.linalg.norm(precondition(rw, v, power) - want) <= 1e-12
-            want_s = W_diag**power * (S @ v)
+            want_s = W_diag**power * (S1 @ v)
             got_s = apply_transform(rw, v, "S", weight_power=power)
             assert np.linalg.norm(got_s - want_s) <= 1e-12
+
+    def test_one_sided_transform_equals_paper_transform(self):
+        # (V (x) U)(I (x) D)(V^T (x) U^T) = I (x) U D U^T: S' = I (x) U^T
+        # gives the paper's penalty ||W^q S v|| and composite S^T W^q S v
+        rng = np.random.default_rng(18)
+        for _ in range(8):
+            n = int(rng.integers(2, 7))
+            f = svd(rng.standard_normal((n, n)))
+            rw = build_reweighter(f, rng.uniform(0.1, 1.0),
+                                  10.0 ** rng.uniform(-6, 0))
+            S, _, W_diag = explicit_pair(f, rw)
+            v = rng.standard_normal(n * n)
+            for power in (-2, -1, 0, 1):
+                paper = W_diag**power * (S @ v)
+                one_sided = apply_transform(rw, v, "S", weight_power=power)
+                assert np.isclose(np.linalg.norm(one_sided),
+                                  np.linalg.norm(paper), rtol=1e-12, atol=0)
+                want = S.T @ paper
+                got = precondition(rw, v, power)
+                assert np.linalg.norm(got - want) <= (
+                    1e-12 * np.linalg.norm(want))
 
     def test_composed_powers(self):
         rw = build_reweighter(
@@ -224,12 +247,12 @@ class TestReweighter:
             build_reweighter_from_basis(np.arange(1, 10.0), p)
 
     def test_paired_sign_flip_changes_no_bit(self):
-        # negating column i of both U and V negates only factors that meet
-        # in pairs, and negation is exact
+        # negating column i of U negates only factors that meet in pairs
+        # (U D U^T), and negation is exact
         rng = np.random.default_rng(17)
         rw = build_reweighter(svd(rng.standard_normal((6, 6))), 0.8, 1e-2)
         signs = np.where(np.arange(6) % 3 == 0, -1.0, 1.0)
-        flipped = Reweighter(rw.U * signs, rw.V * signs, rw.inv_weights)
+        flipped = Reweighter(rw.U * signs, rw.inv_weights)
         for _ in range(5):
             v = rng.standard_normal(36)
             for power in (-2, -1, 0, 1):

@@ -118,20 +118,38 @@ class TestOptimalLambda:
         lam = optimal_lambda_search(projected_svd(H, 4.0), np.array([2.0]))
         assert lam == 0.0
 
+    def test_bottom_of_grid_returns_zero_without_refining(self, monkeypatch):
+        # y(lambda) = 8 / (4 + lambda) hits the target 2 only at lambda = 0,
+        # so the grid minimum is grid[0]: the bracket [grid[0], grid[1]]
+        # maps to 0.0, and no trial runs beyond the grid
+        trials = []
+        filtered = krylov._filtered
+
+        def counting(svd, lam):
+            trials.append(lam)
+            return filtered(svd, lam)
+
+        monkeypatch.setattr(krylov, "_filtered", counting)
+        H = np.array([[2.0], [0.0]])
+        lam = optimal_lambda_search(projected_svd(H, 4.0), np.array([2.0]))
+        assert lam == 0.0
+        assert len(trials) == len(krylov._LAMBDA_GRID) == 37
+
 
 class TestReweightedSolve:
     @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
     def test_fixed_point_matches_dense_oracle(self, inner):
         # oracle: x solves (A^T A + lam S^T W^2 S) x = A^T b assembled
-        # densely with explicit Kronecker factors
+        # densely with the paper's two-sided S = V^T (x) U^T
         rng = np.random.default_rng(0)
         n = 8
         A = rng.standard_normal((n * n, n * n))
         op = from_dense(A, n)
         b = rng.standard_normal(n * n)
-        rw = build_reweighter(svd(rng.standard_normal((n, n))), 1.0, 1e-2)
+        f = svd(rng.standard_normal((n, n)))
+        rw = build_reweighter(f, 1.0, 1e-2)
         lam = 0.1
-        S = np.kron(rw.V.T, rw.U.T)
+        S = np.kron(f.V.T, f.U.T)
         W = np.diag(np.tile(1.0 / rw.inv_weights, n))
         x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
         x, _ = reweighted_krylov_solve(op, b, rw, n * n, SolveReport(),
@@ -163,7 +181,7 @@ class TestReweightedSolve:
         A_hat = to_dense(wop)
         adj = np.column_stack([wop.rmatvec(e) for e in np.eye(n * n)])
         assert np.linalg.norm(adj - A_hat.T) <= 1e-10 * np.linalg.norm(A_hat)
-        S = np.kron(rw.V.T, rw.U.T)
+        S = np.kron(np.eye(n), rw.U.T)  # the transform S' = I (x) U^T
         left = S if inner == "arnoldi" else np.eye(n * n)
         W_inv = np.diag(np.tile(rw.inv_weights, n))
         want = left @ to_dense(op) @ S.T @ W_inv
@@ -173,12 +191,12 @@ class TestReweightedSolve:
     @pytest.mark.parametrize("rule", ["zero", "optimal"])
     @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
     def test_paired_sign_flip_changes_no_bit(self, inner, rule):
-        # column signs of the SVD factors are free: negating paired U/V
-        # columns of the reweighter leaves the solve the same to the bit
+        # column signs of the SVD factors are free: negating columns of
+        # the reweighter's U leaves the solve the same to the bit
         prob = star_problem(16, noise_level=1e-2, seed=4)
         rw = build_reweighter(svd(unvec(prob.b, 16)), 1.0, 1e-2)
         signs = np.where(np.arange(16) % 3 == 0, -1.0, 1.0)
-        flipped = Reweighter(rw.U * signs, rw.V * signs, rw.inv_weights)
+        flipped = Reweighter(rw.U * signs, rw.inv_weights)
         xs = [reweighted_krylov_solve(prob.op, prob.b, r, 8,
                                       SolveReport(x_exact=prob.x_exact),
                                       rule, gkb=inner == "gkb")[0]
