@@ -128,15 +128,24 @@ def trace_rays(n, angles, offsets):
     ray of angle ``a`` and detector ``k``; its entries are
     ``cols[indptr[r]:indptr[r + 1]]`` and follow the ray in increasing t,
     so column indices within a row are not sorted.
+
+    ``cols`` and ``vals`` are views of the filled prefix of arrays
+    allocated once at the bound of 2n + 3 chords per ray; each angle
+    writes its chords at a running offset.  The unwritten tail is never
+    touched, so it takes address space but little resident memory.
     """
     angles = np.ascontiguousarray(angles, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)
     indptr = np.zeros(angles.shape[0] * offsets.shape[0] + 1, dtype=np.int64)
     counts = indptr[1:].reshape(angles.shape[0], offsets.shape[0])
-    cols, vals = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+    # a ray has at most 2n + 4 candidates, so at most 2n + 3 chords
+    cols = np.empty(counts.size * (2 * n + 3), dtype=np.int32)
+    vals = np.empty(cols.size)
+    end = 0
     for a in range(angles.shape[0]):
         counts[a], col, seg = _trace_angle(n, angles[a], offsets)
-        cols.append(col)
-        vals.append(seg)
+        cols[end:end + col.size] = col
+        vals[end:end + col.size] = seg
+        end += col.size
     np.cumsum(indptr, out=indptr)
-    return indptr, np.concatenate(cols), np.concatenate(vals)
+    return indptr, cols[:end], vals[:end]

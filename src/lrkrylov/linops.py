@@ -175,9 +175,11 @@ def shaking_blur_operator(n, n_steps=8, seed=0):
 def tomography_operator(n, angles, detector_count):
     """Parallel-beam projector with exact chord-length weights.
 
-    One row per (angle, detector) ray; the adjoint is the transpose
-    (back-projection).  Assembled once as a sparse matrix via the
-    Siddon traversal in :mod:`lrkrylov._tomo_kernels`.
+    One row per (angle, detector) ray.  Assembled once as a CSR matrix
+    A via the Siddon traversal in :mod:`lrkrylov._tomo_kernels`; the
+    adjoint (back-projection) is ``A.T``, the CSC view over the same
+    three arrays, whose products equal those of a CSR copy of the
+    transpose bit for bit.
     """
     import scipy.sparse as sp  # imported here: only tomography needs scipy
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -194,13 +196,12 @@ def tomography_operator(n, angles, detector_count):
     indptr, cols, vals = trace_rays(n, angles, offsets)
     A = sp.csr_matrix((vals, cols, indptr), shape=(M, N))
     A.sum_duplicates()
-    At = A.T.tocsr()
     return LinearOperator(
         rows=M,
         cols=N,
         image_side=n,
         apply=lambda x, A=A: A @ x,
-        apply_adjoint=lambda y, At=At: At @ y,
+        apply_adjoint=lambda y, At=A.T: At @ y,
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lrkrylov import cli, problems
 from lrkrylov.cli import ConfigError, validate_config
+from lrkrylov.report import SolveReport
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -627,6 +628,13 @@ class TestArtifacts:
         cfg = base_config(cross_check_residuals=True)
         path = write_config(tmp_path / "c.json", cfg)
         assert cli.run(path, out_dir=str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("final_x", [None, np.zeros(256)],
+                             ids=["no-iterate", "iterate-only"])
+    def test_cross_check_skips_a_run_with_no_residual(self, final_x):
+        problem = cli.build_problem(base_config()["problem"])
+        report = SolveReport(solver="gmres", final_x=final_x)
+        assert cli._cross_check_residuals(report, problem) is None
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_solver_keeps_other_results(self, tmp_path, monkeypatch,

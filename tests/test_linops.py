@@ -183,9 +183,10 @@ class TestTomography:
     @pytest.mark.parametrize("n, n_angles", sorted(DIGESTS))
     def test_operator_bytes_are_pinned(self, n, n_angles):
         op = phantom_problem(n, n_angles=n_angles).op
-        # the operator binds its CSR matrices as default arguments
-        matrices = {"A": op.apply.__defaults__[0],
-                    "At": op.apply_adjoint.__defaults__[0]}
+        # the operator binds its CSR matrix as a default argument; the
+        # adjoint's CSR copy is derived from it
+        A = op.apply.__defaults__[0]
+        matrices = {"A": A, "At": A.T.tocsr()}
         got = {}
         for m, X in matrices.items():
             for part in ("indptr", "indices", "data"):
@@ -193,6 +194,24 @@ class TestTomography:
                 little = a.astype(a.dtype.newbyteorder("<")).tobytes()
                 got[f"{m}.{part}"] = hashlib.sha256(little).hexdigest()
         assert got == self.DIGESTS[n, n_angles]
+
+    def test_adjoint_is_a_view_of_the_matrix(self):
+        op = tomography_operator(12, np.deg2rad(np.linspace(0, 90, 6)), 12)
+        A = op.apply.__defaults__[0]
+        At = op.apply_adjoint.__defaults__[0]
+        assert A.format == "csr" and At.format == "csc"
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(A, part), getattr(At, part))
+
+    def test_adjoint_matches_csr_transpose_at_benchmark_geometry(self):
+        # the tomo-irn geometry: n=128, 60 angles over 90 degrees
+        op = tomography_operator(
+            128, np.deg2rad(np.linspace(0.0, 90.0, 60, endpoint=False)), 128)
+        At = op.apply.__defaults__[0].T.tocsr()
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            y = rng.standard_normal(op.rows)
+            assert np.array_equal(op.rmatvec(y), At @ y)
 
     def test_empty_angles_rejected(self):
         with pytest.raises(ValueError):

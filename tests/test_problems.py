@@ -190,6 +190,28 @@ class TestInpainting:
                                   pattern="structured", seed=2)
         assert prob.op.rows < prob.op.cols
 
+    def test_random_mask_keeps_one_pixel(self):
+        # every pixel's draw at seed 0 falls below 0.999: the mask would
+        # keep none, and one pixel is kept instead
+        prob = inpainting_problem(n=4, rank_cap=4, missing_fraction=0.999,
+                                  seed=0)
+        assert prob.op.rows == 1
+
+    def test_structured_mask_keeps_one_pixel(self):
+        # real draws never remove pixel (n-1, n-1), so only draws out of
+        # the generator's ranges can empty the mask
+        class FullImageDraws:
+            """Draws of a rectangle covering the whole image."""
+
+            def random(self):
+                return 0.0  # the rectangle branch
+
+            def integers(self, low, high):
+                return 0 if low == 0 else 8  # corner 0, height and width n
+
+        mask = problems._structured_mask(8, 0.9, FullImageDraws())
+        assert np.array_equal(np.flatnonzero(mask), [0])
+
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError, match="unknown mask pattern 'swirl'"):
             inpainting_problem("house-like", n=32, rank_cap=8,

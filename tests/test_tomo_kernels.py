@@ -30,6 +30,7 @@ def assert_matches_oracle(n, angles, offsets):
     indptr, cols, vals = trace_rays(n, angles, offsets)
     o_rows, o_cols, o_vals = siddon_oracle.trace_rays(n, angles, offsets)
     assert indptr.size == angles.size * offsets.size + 1
+    assert cols.size == vals.size == indptr[-1]
     np.testing.assert_array_equal(row_of_entry(indptr), o_rows)
     np.testing.assert_array_equal(cols, o_cols)
     np.testing.assert_allclose(vals, o_vals, rtol=0, atol=VAL_TOL)
@@ -58,6 +59,10 @@ GEOMETRIES = {
     "grazing": (4, np.array([2.1969638919728707e-12, -3e-12,
                              np.pi / 2 + 1e-12]),
                 np.array([-1.0, 0.0, 1.0])),
+    # off the diagonal and off the lattice, rays cross 2n - 1 cells, the
+    # most any ray can: the capacity of 2n + 3 chords per ray holds them
+    "most-cells": (16, np.array([np.pi / 4 + 0.01, 3 * np.pi / 4 - 0.01]),
+                   np.arange(-9.0, 9.5, 0.5) + 0.1),
     "more-detectors-odd-n": (17, np.deg2rad(np.linspace(0.0, 120.0, 25)),
                              detector_offsets(17, 23)),
     "fewer-detectors-odd-n": (15, np.deg2rad(np.linspace(0.0, 120.0, 25)),
@@ -80,6 +85,13 @@ def test_walking_every_ray_changes_no_bit(monkeypatch, name):
     got = trace_rays(*GEOMETRIES[name])
     for w, g in zip(want, got):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_most_cells_geometry_fills_the_longest_rows():
+    # the geometry's premise: some ray has the most chords any ray can
+    n, angles, offsets = GEOMETRIES["most-cells"]
+    indptr, _, _ = trace_rays(n, angles, offsets)
+    assert np.diff(indptr).max() == 2 * n - 1
 
 
 def test_axis_aligned_rays_have_unit_chords():
