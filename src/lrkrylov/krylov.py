@@ -30,7 +30,9 @@ rank cutoff hands that step and the rest of the run to the SVD, which
 keeps the minimum-norm answer.  The other rules are served by one thin
 SVD H = P S Q^T of the projected matrix per iteration, so a trial lambda
 costs O(k), not a least-squares solve (the SVD-filter form of hybrid
-methods, Chung, Nagy & O'Leary 2008).
+methods, Chung, Nagy & O'Leary 2008); the optimal rule filters a whole
+log grid of trial lambdas in one array expression, and refines the grid
+around its best point.
 
 The hybrid loop builds an iterate Z_k y only where something reads it:
 at every step of a flexible run, of a run whose iterates are mapped
@@ -70,8 +72,9 @@ __all__ = [
 _BREAKDOWN_REL = 1e-12
 _REORTH = 1 / np.sqrt(2)  # a second pass when one leaves less of ||w||
 _SKIP = 4 * np.finfo(float).eps  # no update when ||Q^T w|| is this of ||w||
-_LAMBDA_GRID = np.logspace(-16, 2, 37)  # trial lambdas of the optimal rule
-_GOLDEN_ITERS = 60  # golden-section steps that refine the best of them
+_LAMBDA_GRID = np.logspace(-16, 2, 37)  # the optimal rule's first grid
+_REFINE = 129  # points of each grid that refines it
+_RESOLUTION = 1e-9  # its last bracket in log(lambda): relative in lambda
 _LAMBDA_MAX = 1e10  # ceiling of the secant rule's lambda
 
 
@@ -251,10 +254,11 @@ def projected_svd(H, beta):
 
 
 def _filtered(svd, lambda_hat):
-    """Q^T y(lambda) = s / (s^2 + lambda) * c; at lambda = 0 singular values
-    at or below the cutoff count as zero (the minimum-norm solution)."""
+    """Q^T y(lambda) = s / (s^2 + lambda) * c, one row per lambda of a
+    column of positive lambdas; at lambda = 0 singular values at or below
+    the cutoff count as zero (the minimum-norm solution)."""
     s, _, c, cutoff = svd
-    if lambda_hat > 0:
+    if np.min(lambda_hat) > 0:
         return s / (s * s + lambda_hat) * c
     keep = s > cutoff
     return np.where(keep, c, 0.0) / np.where(keep, s, 1.0)
@@ -345,42 +349,27 @@ def secant_lambda_update(history, epsilon, theta, h_norm2):
 
 
 def optimal_lambda_search(svd, target):
-    """Minimize ||target - y(lambda)|| over a log grid refined by
-    golden-section search (test-harness oracle); y(lambda) is filtered
-    from ``svd = projected_svd(H, beta)``.  A trial costs O(k): for a tall
-    H, Q is square and ||target - Q f|| = ||Q^T target - f||."""
+    """Minimize ||target - y(lambda)|| over lambda (test-harness oracle);
+    y(lambda) is filtered from ``svd = projected_svd(H, beta)``.  One step,
+    repeated: filter every lambda of a log grid at once, starting from
+    _LAMBDA_GRID, then lay a grid of _REFINE points between the two
+    neighbours of the best, until they lie within _RESOLUTION in
+    log(lambda).  A trial costs O(k): for a tall H, Q is square and
+    ||target - Q f|| = ||Q^T target - f||.  The bottom of the first grid
+    stands for "no regularization needed": 0.0."""
     t = svd[1].T @ target
-
-    def err(lam):
-        return float(np.linalg.norm(t - _filtered(svd, lam)))
-
     grid = _LAMBDA_GRID
-    vals = [err(g) for g in grid]
-    i = int(np.argmin(vals))
-    if i == 0:  # bracket [grid[0], grid[1]]: every refinement maps to 0.0
-        return 0.0
-    lo = grid[i - 1]
-    hi = grid[min(i + 1, len(grid) - 1)]  # lo < hi: the grid increases
-    # golden section on log(lambda)
-    a, b = np.log(lo), np.log(hi)
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = err(np.exp(c)), err(np.exp(d))
-    for _ in range(_GOLDEN_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = err(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = err(np.exp(d))
-    lam = float(np.exp((a + b) / 2.0))
-    if err(lam) > vals[i]:
-        lam = float(grid[i])
-    # the bottom of the grid stands for "no regularization needed"
-    return 0.0 if lam <= grid[1] else lam
+    while True:
+        errs = np.linalg.norm(t - _filtered(svd, grid[:, None]), axis=1)
+        i = int(np.argmin(errs))
+        if i == 0 and grid is _LAMBDA_GRID:  # refined, still <= grid[1]
+            return 0.0
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if np.log(hi / lo) < _RESOLUTION:
+            break
+        grid = np.geomspace(lo, hi, _REFINE)
+    lam = float(grid[i])
+    return 0.0 if lam <= _LAMBDA_GRID[1] else lam
 
 
 def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,

@@ -161,7 +161,9 @@ def _peppers_texture(n):
 
 def _structured_mask(n, missing_fraction, rng):
     """Remove seeded random rectangles and disks until the target
-    fraction of pixels is gone."""
+    fraction of pixels is gone (n >= 3).  Rectangles end by row and column
+    n - 2 and disks keep sqrt(2) rad from (n - 1, n - 1), so that pixel is
+    always kept."""
     keep = np.ones((n, n), dtype=bool)
     target_missing = int(round(missing_fraction * n * n))
     guard = 0
@@ -179,9 +181,7 @@ def _structured_mask(n, missing_fraction, rng):
             cc = int(rng.integers(rad, n - rad))
             ii, jj = np.ogrid[:n, :n]
             keep[(ii - cr) ** 2 + (jj - cc) ** 2 <= rad * rad] = False
-    if not keep.any():
-        keep[0, 0] = True
-    return vec(keep.astype(float)) > 0.5
+    return keep.reshape(-1, order="F")
 
 
 def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
@@ -220,6 +220,7 @@ def inpainting_problem(image="peppers-like", n=64, rank_cap=50,
         if not mask.any():
             mask[0] = True
     elif pattern == "structured":
+        _check("n", n, n >= 3, 'at least 3 for pattern "structured"')
         mask = _structured_mask(n, missing_fraction, rng)
     else:
         raise ValueError(f"unknown mask pattern {pattern!r}")

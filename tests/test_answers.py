@@ -10,7 +10,7 @@ exactly, and ``min_rel_error`` and the last recorded residual to 1e-8
 relative.
 
 Under the optimal rule the last residual is held to 1e-5 only.  That rule
-picks lambda by a golden-section search on an error that is flat near its
+picks lambda by refining a log grid on an error that is flat near its
 minimum, so lambda, and the residual with it, are fixed by rounding to
 about 1e-6: stacking the projected Tikhonov problem as [sqrt(lambda) I; H]
 instead of [H; sqrt(lambda) I], the same problem, moved the recorded

@@ -108,32 +108,54 @@ class TestSecant:
 class TestOptimalLambda:
     def test_scalar_closed_form(self):
         # y(lambda) = h beta / (h^2 + lambda); target 1 with h=1, beta=2
-        # is hit exactly at lambda = 1
+        # is hit exactly at lambda = 1, to the search's resolution in
+        # log(lambda)
         H = np.array([[1.0], [0.0]])
         lam = optimal_lambda_search(projected_svd(H, 2.0), np.array([1.0]))
-        assert abs(lam - 1.0) <= 1e-6
+        assert abs(np.log(lam)) <= krylov._RESOLUTION
 
     def test_zero_when_unregularized_is_best(self):
         H = np.array([[2.0], [0.0]])
         lam = optimal_lambda_search(projected_svd(H, 4.0), np.array([2.0]))
         assert lam == 0.0
 
-    def test_bottom_of_grid_returns_zero_without_refining(self, monkeypatch):
-        # y(lambda) = 8 / (4 + lambda) hits the target 2 only at lambda = 0,
-        # so the grid minimum is grid[0]: the bracket [grid[0], grid[1]]
-        # maps to 0.0, and no trial runs beyond the grid
-        trials = []
+    @pytest.fixture
+    def filter_calls(self, monkeypatch):
+        """The lambdas of each ``krylov._filtered`` call, in order."""
+        calls = []
         filtered = krylov._filtered
 
         def counting(svd, lam):
-            trials.append(lam)
+            calls.append(np.ravel(lam))
             return filtered(svd, lam)
 
         monkeypatch.setattr(krylov, "_filtered", counting)
+        return calls
+
+    def test_bottom_of_grid_returns_zero_without_refining(self, filter_calls):
+        # y(lambda) = 8 / (4 + lambda) hits the target 2 only at lambda = 0,
+        # so the first grid's minimum is its bottom point: every refinement
+        # maps to 0.0, and nothing beyond the first grid is filtered
         H = np.array([[2.0], [0.0]])
         lam = optimal_lambda_search(projected_svd(H, 4.0), np.array([2.0]))
         assert lam == 0.0
-        assert len(trials) == len(krylov._LAMBDA_GRID) == 37
+        assert len(filter_calls) == 1
+        assert np.array_equal(filter_calls[0], krylov._LAMBDA_GRID)
+
+    def test_one_filter_evaluation_per_grid(self, filter_calls):
+        # each grid is filtered in one call, not one call per trial lambda;
+        # each later grid lies inside the one before it, and the last one
+        # holds the answer within _RESOLUTION of its neighbours
+        H = np.array([[1.0], [0.0]])
+        lam = optimal_lambda_search(projected_svd(H, 2.0), np.array([1.0]))
+        assert np.array_equal(filter_calls[0], krylov._LAMBDA_GRID)
+        assert 1 < len(filter_calls) <= 10
+        for outer, inner in zip(filter_calls, filter_calls[1:]):
+            assert inner.size == krylov._REFINE
+            assert outer[0] <= inner[0] < inner[-1] <= outer[-1]
+        i = int(np.flatnonzero(filter_calls[-1] == lam)[0])
+        assert np.log(filter_calls[-1][i + 1] / filter_calls[-1][i - 1]) < (
+            krylov._RESOLUTION)
 
 
 class TestReweightedSolve:

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrkrylov import problems
 from lrkrylov.linops import unvec
@@ -197,20 +199,23 @@ class TestInpainting:
                                   seed=0)
         assert prob.op.rows == 1
 
-    def test_structured_mask_keeps_one_pixel(self):
-        # real draws never remove pixel (n-1, n-1), so only draws out of
-        # the generator's ranges can empty the mask
-        class FullImageDraws:
-            """Draws of a rectangle covering the whole image."""
+    @settings(deadline=None)
+    @given(st.integers(3, 48), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_structured_mask_keeps_one_pixel(self, n, fraction, seed):
+        # rectangles end by row and column n - 2, and a disk of radius r
+        # stays sqrt(2) r from (n - 1, n - 1): that pixel is never removed,
+        # whatever fraction is asked for, so the mask is never empty
+        mask = problems._structured_mask(n, fraction,
+                                         np.random.default_rng(seed))
+        assert mask.shape == (n * n,)
+        assert mask[-1]
 
-            def random(self):
-                return 0.0  # the rectangle branch
-
-            def integers(self, low, high):
-                return 0 if low == 0 else 8  # corner 0, height and width n
-
-        mask = problems._structured_mask(8, 0.9, FullImageDraws())
-        assert np.array_equal(np.flatnonzero(mask), [0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_structured_pattern_below_three_pixels_rejected(self, n):
+        with pytest.raises(ValueError, match='n must be at least 3 for '
+                           'pattern "structured", got'):
+            inpainting_problem(n=n, rank_cap=1, missing_fraction=0.5,
+                               pattern="structured")
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError, match="unknown mask pattern 'swirl'"):
