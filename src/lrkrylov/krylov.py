@@ -15,6 +15,14 @@ writes h as zeros, so the projected matrix holds what was subtracted: in
 a standard Golub-Kahan run the local step mostly leaves w orthogonal to
 the older basis to rounding, and the loss it leaves is measured exactly
 and corrected only where it is (partial reorthogonalization, Simon 1984).
+There each basis also takes the full pass only when due (``_Sweeps``):
+1 to _PERIOD_MAX half-steps apart, the period doubled after a pass that
+skipped its update and halved after one that subtracted, so the
+measurement grows sparse while the loss stays at rounding (Grcar 1981),
+or sooner when _PROBES random-sign sums of the basis find the loss grown
+past _PROBE_LOSS, at O(N) a half-step; a half-step between passes writes
+zeros, as a skipped update does.  Arnoldi and flexible Golub-Kahan, whose
+far coefficients are real, pass on every half-step.
 The same half-step grows RS-LR-GMRES's two QR factors, V_m = Q R of its
 truncated basis and A V_m = W S, by a column a step.  Bases are dense
 column-major (Fortran-order) arrays sized once by the start function from
@@ -43,7 +51,7 @@ the end.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +80,9 @@ __all__ = [
 _BREAKDOWN_REL = 1e-12
 _REORTH = 1 / np.sqrt(2)  # a second pass when one leaves less of ||w||
 _SKIP = 4 * np.finfo(float).eps  # no update when ||Q^T w|| is this of ||w||
+_PERIOD_MAX = 8  # most half-steps between a standard GKB basis's passes
+_PROBES = 2  # random-sign sums of that basis, checked between passes
+_PROBE_LOSS = 1e-14  # a pass when they put ||Q^T w|| above this of ||w||
 _LAMBDA_GRID = np.logspace(-16, 2, 37)  # the optimal rule's first grid
 _REFINE = 129  # points of each grid that refines it
 _RESOLUTION = 1e-9  # its last bracket in log(lambda): relative in lambda
@@ -108,15 +119,57 @@ def _first_column(b, cols):
     return beta, Q
 
 
-def _extend(w, Q, P, k):
+class _Sweeps:
+    """When a basis Q of a standard Golub-Kahan run takes its full pass:
+    ``period`` half-steps after the last, doubled after a pass that
+    skipped its update (clean), halved after one that subtracted, 1 to
+    _PERIOD_MAX; and between passes whenever a probe finds w off the
+    span.  The probes are the rows of S = G Q^T, G of random signs with
+    _PROBES rows, grown in place a column of Q at a time:
+    E ||S w||^2 = _PROBES ||Q^T w||^2, at O(N) a half-step.  Where the
+    loss grows fast, as when the process nears the rank of A, a skipped
+    pass would leave it in the basis for good."""
+
+    def __init__(self):
+        self.period, self.wait = 1, 0  # wait: half-steps left to the pass
+        self.S, self.n = None, 0  # the probes, and the columns they sum
+        self.signs = np.random.default_rng(0)
+
+    def due(self, w, Q):
+        if self.S is None:
+            self.S = np.zeros((_PROBES, w.size))
+        for q in Q[:, self.n:].T:
+            for s, add in zip(self.S, self.signs.integers(2, size=_PROBES)):
+                (np.add if add else np.subtract)(s, q, out=s)
+        self.n = Q.shape[1]
+        self.wait -= 1
+        return self.wait < 0 or (np.linalg.norm(self.S @ w) > _PROBE_LOSS
+                                 * math.sqrt(_PROBES) * np.linalg.norm(w))
+
+    def passed(self, clean):
+        self.period = (min(2 * self.period, _PERIOD_MAX) if clean
+                       else max(self.period // 2, 1))
+        self.wait = self.period - 1
+
+
+def _extend(w, Q, P, k, sweeps=None):
     """The half-step every factorization shares: project w off the last
     two columns of Q, where a short recurrence puts most of it, so that
     one full pass keeps the norm; write the summed coefficients h and then
     ||w|| into column k of P, and return w / ||w||; None on breakdown,
-    when ||w|| <= _BREAKDOWN_REL max(max |h|, 1) (0 for an empty h)."""
+    when ||w|| <= _BREAKDOWN_REL max(max |h|, 1) (0 for an empty h).
+    With a ``sweeps`` schedule the full pass runs only when that says it
+    is due; a half-step between passes writes zero far coefficients, as a
+    pass that skips its update does."""
     near = Q[:, -2:]
     c = near.T @ w
-    w, h, norm = _orthogonalize(w - near @ c, Q)
+    w = w - near @ c
+    if sweeps is None or sweeps.due(w, Q):
+        w, h, norm = _orthogonalize(w, Q)
+        if sweeps is not None:
+            sweeps.passed(not h.any())
+    else:
+        h, norm = np.zeros(Q.shape[1]), np.linalg.norm(w)
     h[h.size - c.size:] += c
     P[: h.size, k] = h
     P[h.size, k] = norm
@@ -160,11 +213,12 @@ def arnoldi_start(op, b, steps):
     return ArnoldiState(beta, V, np.zeros((steps + 1, steps), order="F"))
 
 
-def _forward(state, op, precondition, Q, P):
+def _forward(state, op, precondition, Q, P, sweeps=None):
     """Advance by the half-step that applies A: z = precondition(v_k), kept
     as column k of Z, which the first flexible step allocates (a standard
     run keeps no Z: Z_k = V_k), then ``_extend`` by A z into Q and column k
-    of P, reporting breakdown.  Returns whether Q grew."""
+    of P on the ``sweeps`` schedule, reporting breakdown.  Returns whether
+    Q grew."""
     k = state.k
     z = state.V[:, k]
     if precondition is not None:
@@ -172,7 +226,7 @@ def _forward(state, op, precondition, Q, P):
         if state.Z is None:
             state.Z = np.empty((z.size, P.shape[1]), order="F")
         state.Z[:, k] = z
-    q = _extend(op.matvec(z), Q[:, : k + 1], P, k)
+    q = _extend(op.matvec(z), Q[:, : k + 1], P, k, sweeps)
     state.k = k + 1
     state.breakdown = q is None
     if q is not None:
@@ -194,7 +248,11 @@ class GkbState:
 
     Storage as in ``ArnoldiState``: U (M, steps + 1), V and Z (N, steps),
     M (steps + 1, steps), T (steps, steps).  ``u`` counts the columns of
-    U: k + 1, or k after a breakdown in the second half of a step.
+    U: k + 1, or k after a breakdown in the second half of a step.  A
+    standard step (no ``precondition``) runs each basis's full pass on
+    that basis's own schedule, ``sweeps`` (U's, V's): there M and T are
+    bidiagonal, so a pass mostly finds rounding.  A flexible step passes
+    on every half-step, as Arnoldi does: its far coefficients are real.
     """
 
     beta: float
@@ -206,6 +264,7 @@ class GkbState:
     k: int = 0
     u: int = 1
     breakdown: bool = False
+    sweeps: tuple = field(default_factory=lambda: (_Sweeps(), _Sweeps()))
 
     def U_mat(self):
         return self.U[:, : self.u]
@@ -235,12 +294,14 @@ def gkb_step(state, op, precondition=None):
     if state.breakdown:
         return state
     k = state.k
-    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k)
+    sweeps = state.sweeps if precondition is None else (None, None)
+    v = _extend(op.rmatvec(state.U[:, k]), state.V[:, :k], state.T, k,
+                sweeps[1])
     if v is None:
         state.breakdown = True
         return state
     state.V[:, k] = v
-    if _forward(state, op, precondition, state.U, state.M):
+    if _forward(state, op, precondition, state.U, state.M, sweeps[0]):
         state.u = k + 2
     return state
 
@@ -403,6 +464,7 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
     state = (gkb_start if gkb else arnoldi_start)(op, b, max_iter)
     step = gkb_step if gkb else arnoldi_step
     qr = _GivensQR(state.beta, max_iter) if lambda_rule == "zero" else None
+    target = np.empty(max_iter)  # V_k^T x_target, a dot product a column
     # Z_k = V_k is orthonormal here: with t_j = z_j^T r_{j-1} and
     # r_j = r_{j-1} - t_j z_j from r_0 = x_exact, the error of Z_k y is
     # sqrt(||r_k||^2 + ||t - y||^2), one dot product and one axpy a column
@@ -425,8 +487,8 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
             qr = None  # another rule, or rank deficient from here on
             svd = projected_svd(proj, state.beta)
             if lambda_rule == "optimal":
-                lam = optimal_lambda_search(
-                    svd, state.V_mat()[:, : state.k].T @ x_target)
+                target[it - 1] = state.V[:, it - 1] @ x_target
+                lam = optimal_lambda_search(svd, target[:it])
             y, resid = projected_tikhonov(proj, state.beta, lam, svd)
         if coeffs:
             z = state.Z_mat()[:, -1]

@@ -203,8 +203,8 @@ class TestOrthogonalize:
         # local window (rows <= k-2 of M, <= k-3 of T in column k), where
         # the full pass always leaves rounding; the skipped rounding builds
         # up until a pass corrects it, so orthogonality stays near eps.
-        # Measured at seed 0: 121 of 300 such columns of M and 137 of T
-        # (2 and 3 without the skip), and losses 1.4e-14 and 1.5e-14
+        # Measured at seed 0: 168 of 300 such columns of M and 153 of T
+        # (2 and 3 without the skip), and losses 2.5e-14 and 2.5e-14
         # (1.05e-14 and 1.04e-14)
         prob = star_problem(64, seed=0)
         state = gkb_start(prob.op, prob.b, 300)
@@ -250,6 +250,111 @@ class TestLocalStep:
         nnr.flexible_nnrp(prob.op, prob.b, nnr.NnrConfig(max_iter=30),
                           gkb=True, x_exact=prob.x_exact)
         assert len(flags) == 60 and all(flags)
+
+
+class TestSweepSchedule:
+    # a standard Golub-Kahan basis takes its full pass only when due: the
+    # period doubles after a clean pass (update skipped) and halves after
+    # one that subtracted, from 1 to _PERIOD_MAX half-steps, and a probe
+    # forces one between; Arnoldi and flexible Golub-Kahan pass on every
+    # half-step
+    @staticmethod
+    def passes(monkeypatch):
+        widths = []
+        orthogonalize = krylov._orthogonalize
+
+        def spy(w, Q):
+            widths.append(Q.shape[1])
+            return orthogonalize(w, Q)
+
+        monkeypatch.setattr(krylov, "_orthogonalize", spy)
+        return widths
+
+    @staticmethod
+    def split_basis(cols):
+        # Q spans the first cols coordinates, w the rest: Q^T w is exactly 0
+        Q = np.eye(64)[:, :cols]
+        w = np.zeros(64)
+        w[cols:] = np.random.default_rng(cols).standard_normal(64 - cols)
+        return w, Q
+
+    def test_period_doubles_when_clean_and_halves_when_not(self):
+        sweeps, due = krylov._Sweeps(), []
+        for half in range(39):
+            if sweeps.due(*self.split_basis(half)):
+                due.append(half)
+                sweeps.passed(clean=half < 30)
+        assert krylov._PERIOD_MAX == 8
+        assert due == [0, 2, 6, 14, 22, 30, 34, 36, 37, 38]
+
+    def test_probe_forces_a_pass_between(self):
+        # ||Q^T w|| ~ 1e-12 ||w||, far above _PROBE_LOSS, on a half-step
+        # that the period would skip
+        sweeps = krylov._Sweeps()
+        w, Q = self.split_basis(10)
+        assert sweeps.due(w, Q)
+        sweeps.passed(clean=True)
+        w, Q = self.split_basis(11)
+        assert sweeps.due(w + 1e-12 * np.linalg.norm(w) * Q[:, 3], Q)
+        sweeps.passed(clean=True)
+        w, Q = self.split_basis(12)
+        assert not sweeps.due(w, Q)
+
+    def test_low_rank_operators_stay_orthogonal(self):
+        # the operators of test_krylov_properties.py, run past their rank:
+        # near the rank the loss grows by 5-30x a half-step, so a period
+        # alone left 140 of 2,000 random draws above 1e-12 (29.5 at worst,
+        # when a missed breakdown added a vector in span V)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            side = int(rng.integers(3, 7))
+            n = side * side
+            rows = int(rng.integers(n - 8, n + 9))
+            rank = int(rng.integers(1, min(rows, n) + 1))
+            A = (rng.standard_normal((rows, rank))
+                 @ rng.standard_normal((rank, n)) / np.sqrt(rank * n))
+            op = from_dense(A, side)
+            state = gkb_start(op, rng.standard_normal(rows), n + 3)
+            for _ in range(n + 3):
+                gkb_step(state, op)
+            for Q in (state.U_mat(), state.V_mat()):
+                assert np.linalg.norm(np.eye(Q.shape[1]) - Q.T @ Q) <= 1e-12
+
+    def test_standard_gkb_on_star_skips_most_passes(self, monkeypatch):
+        # measured at seed 0: 102 of 200 half-steps (200 at the parent)
+        widths = self.passes(monkeypatch)
+        prob = star_problem(64, seed=0)
+        state = gkb_start(prob.op, prob.b, 100)
+        for _ in range(100):
+            gkb_step(state, prob.op)
+        assert state.k == 100 and not state.breakdown
+        assert len(widths) <= 0.6 * 200
+
+    @pytest.mark.parametrize("gkb", [False, True])
+    def test_arnoldi_and_flexible_gkb_pass_on_every_half_step(
+            self, monkeypatch, gkb):
+        widths = self.passes(monkeypatch)
+        if gkb:  # an lr-flsqr precondition; V's half of step k sweeps k
+            prob = inpainting_problem(n=32, rank_cap=16, seed=1)
+            lr_flsqr(prob.op, prob.b, 8, 8, 30, x_exact=prob.x_exact)
+            expected = [w for k in range(30) for w in (k, k + 1)]
+        else:
+            prob = star_problem(32, seed=0)
+            gmres(prob.op, prob.b, 30, x_exact=prob.x_exact)
+            expected = list(range(1, 31))
+        assert widths == expected
+
+    def test_long_standard_gkb_run_on_phantom_stays_orthogonal(self):
+        # measured at seed 0: losses 2.4e-14 (U) and 2.0e-14 (V), from 225
+        # passes of 300 half-steps; pure local steps lose orthogonality
+        # completely on tomography
+        prob = phantom_problem(32, seed=0)
+        state = gkb_start(prob.op, prob.b, 150)
+        for _ in range(150):
+            gkb_step(state, prob.op)
+        assert state.k == 150 and not state.breakdown
+        for Q in (state.U_mat(), state.V_mat()):
+            assert np.linalg.norm(np.eye(Q.shape[1]) - Q.T @ Q) <= 5e-14
 
 
 PROCESSES = {"arnoldi": (arnoldi_start, arnoldi_step),
@@ -413,6 +518,34 @@ class TestGmresLsqr:
         with pytest.raises(ValueError, match="the flexible and low-rank "
                                              "solvers have none"):
             run(star_problem(16, seed=1))
+
+    @pytest.mark.parametrize("gkb", [True, False])
+    def test_optimal_rule_targets_the_basis_coefficients(self, monkeypatch,
+                                                         gkb):
+        # the optimal rule keeps V_k^T x_target a column at a time
+        targets, states = [], []
+        search, start = krylov.optimal_lambda_search, (
+            krylov.gkb_start if gkb else krylov.arnoldi_start)
+
+        def spy_search(svd, target):
+            targets.append(target.copy())
+            return search(svd, target)
+
+        def spy_start(*args):
+            states.append(start(*args))
+            return states[-1]
+
+        monkeypatch.setattr(krylov, "optimal_lambda_search", spy_search)
+        monkeypatch.setattr(krylov, "gkb_start" if gkb else "arnoldi_start",
+                            spy_start)
+        prob = star_problem(32, seed=0)
+        (lsqr if gkb else gmres)(prob.op, prob.b, 20, lambda_rule="optimal",
+                                 x_exact=prob.x_exact)
+        V = states[0].V
+        assert [t.size for t in targets] == list(range(1, 21))
+        for t in targets:
+            expected = V[:, : t.size].T @ prob.x_exact
+            assert np.abs(t - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestTruncatedSolvers:
