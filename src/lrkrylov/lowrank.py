@@ -2,6 +2,13 @@
 the reweighting transform of the smooth Schatten-p surrogate, built from
 the left singular vectors U.
 
+Truncation, shrinkage and the reweighters of the flexible solvers need
+only U and sigma, so they take ``svd(X, left=True)``, the eigenvectors of
+the Gram matrix X X^T, which costs less than the full SVD.  Its sigma is
+accurate only to about sqrt(eps) sigma_1, absolute, so a spectrum that is
+recorded (the best iterate's, the IRN outer cycle's, from which the IRN
+reweighter is built too) keeps the full SVD.
+
 The weight matrix W = I (x) diag(w) and the orthogonal transform
 S = I (x) U^T are never materialized; all applications go through
 n x n two-matrix products (O(n^3) flops for vectors of length n^2).
@@ -9,6 +16,7 @@ The paper's S = V^T (x) U^T has the same penalty and S^T W^q S, since
 (V (x) U)(I (x) D)(V^T (x) U^T) = I (x) U D U^T for diagonal D.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,45 +39,66 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SvdTriple:
-    """Full SVD factors U, sigma (nonincreasing), V of a square matrix."""
+    """SVD factors U, sigma (nonincreasing), V of a square matrix; V is
+    None for a left factorization."""
 
     U: np.ndarray
     sigma: np.ndarray
-    V: np.ndarray
+    V: np.ndarray | None
 
 
-def svd(X):
+def svd(X, left=False):
     """Full SVD X = U diag(sigma) V^T, column signs as LAPACK gives them.
 
-    ``truncate`` and ``shrink`` pair column i of U with column i of V,
-    and the reweighter pairs each column of U with itself, so negating
-    a column (of both U and V) negates only factors that meet in pairs;
-    negation is exact, so a sign convention would change no bit.
+    With ``left``, U and sigma alone (V is None), from ``eigh`` of the
+    Gram matrix Y Y^T of Y = 2^-e X, 2^e the power of two above max |X|.
+    The scaling is exact, so the Gram cannot overflow or lose X to
+    underflow, and 2^k X gives the same U and sigma times 2^k.  The Gram
+    is known to about n eps sigma_1^2, so sigma is accurate to about
+    sqrt(eps) sigma_1, absolute, and the columns of U for singular values
+    below that may mix.  The flexible reweighters that take this path are
+    ``build_reweighter_from_basis`` and ``nnr.flexible_nnrp``'s.
+
+    Every caller pairs column i of U with itself (U_k U_k^T, U D U^T) or
+    with column i of V, so negating a column negates only factors that
+    meet in pairs; negation is exact, so a sign convention would change
+    no bit.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix has non-finite entries")
-    U, s, Vt = np.linalg.svd(X)
-    return SvdTriple(U, s, Vt.T)
+    if not left:
+        U, s, Vt = np.linalg.svd(X)
+        return SvdTriple(U, s, Vt.T)
+    e = math.frexp(np.max(np.abs(X), initial=0.0))[1]
+    Y = np.ldexp(X, -e)
+    lam, Q = np.linalg.eigh(Y @ Y.T)  # ascending
+    sigma = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), e)
+    return SvdTriple(Q[:, ::-1], sigma, None)
 
 
 def truncate(c, kappa):
-    """Best rank-kappa approximation of the matricized vector (tau_kappa)."""
+    """Best rank-kappa approximation U_k U_k^T X of the matricized vector
+    (tau_kappa)."""
     c = np.asarray(c, dtype=float)
     n = int(round(np.sqrt(c.size)))
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    f = svd(unvec(c, n))
-    Ck = (f.U[:, :kappa] * f.sigma[:kappa]) @ f.V[:, :kappa].T
-    return vec(Ck)
+    X = unvec(c, n)
+    Uk = svd(X, left=True).U[:, :kappa]
+    return vec(Uk @ (Uk.T @ X))
 
 
 def shrink(X, tau):
-    """Singular value shrinkage D_tau(X) = U max(Sigma - tau, 0) V^T."""
+    """Singular value shrinkage D_tau(X) = U max(Sigma - tau, 0) V^T,
+    computed as U diag(max(sigma - tau, 0) / sigma) U^T X over the
+    sigma > tau that it keeps."""
     if not tau >= 0:  # written so that NaN fails
         raise ValueError("tau must be nonnegative")
-    f = svd(X)
-    return (f.U * np.maximum(f.sigma - tau, 0.0)) @ f.V.T
+    f = svd(X, left=True)
+    k = np.count_nonzero(f.sigma > tau)
+    Uk, s = f.U[:, :k], f.sigma[:k]
+    return (Uk * ((s - tau) / s)) @ (Uk.T @ X)
 
 
 @dataclass(frozen=True)
@@ -114,7 +143,7 @@ def build_reweighter_from_basis(v_i, p):
     if not np.any(v_i):
         raise ValueError("basis vector is zero")
     n = int(round(np.sqrt(v_i.size)))
-    f = svd(unvec(v_i, n))
+    f = svd(unvec(v_i, n), left=True)
     inv_w = f.sigma ** (0.5 - p / 4.0)
     return Reweighter(f.U, inv_w)
 

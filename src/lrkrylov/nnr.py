@@ -196,7 +196,7 @@ def flexible_nnrp(op, b, config, gkb=True, from_basis=False, x_exact=None):
     def after(x):
         nonlocal gamma, rw
         gamma = max(gamma / config.gamma_decay, config.gamma_min)
-        rw = build_reweighter(svd(unvec(x, n)), config.p, gamma)
+        rw = build_reweighter(svd(unvec(x, n), left=True), config.p, gamma)
 
     name = f"{'flsqr' if gkb else 'fgmres'}-nnrp{'-v' if from_basis else ''}"
     return krylov.run_hybrid(name, op, b, config.max_iter, stop,

@@ -54,6 +54,90 @@ class TestSvd:
             svd(X)
 
 
+EPS = np.finfo(float).eps
+
+
+def orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def left_cases(n):
+    """(name, X): random, rank n // 3, and graded (sigma from 1 down to
+    1e-12) square matrices."""
+    rng = np.random.default_rng(n)
+    r = n // 3
+    yield "random", rng.standard_normal((n, n))
+    yield "rank", rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+    yield "graded", (orthogonal(rng, n) * np.logspace(0, -12, n)
+                     ) @ orthogonal(rng, n).T
+
+
+class TestLeftSvd:
+    """``svd(X, left=True)``: U and sigma from eigh of the scaled Gram.
+
+    The computed Gram and eigh's backward error perturb X X^T by about
+    n eps sigma_1^2.  So U sigma^2 U^T, the Gram itself, is held to
+    4 n eps sigma_1^2.  sigma and U sigma U^T = (X X^T)^(1/2) take the
+    square root of that perturbation: by Weyl's bound and
+    ||A^(1/2) - B^(1/2)|| <= ||A - B||^(1/2) for positive semidefinite A,
+    B, they are held to sqrt(n eps) sigma_1, absolute.  So the small
+    singular values of the rank-deficient and graded cases, which the Gram
+    misses by up to about 2e-8 sigma_1 here, are not held relative to
+    themselves.
+    """
+
+    @pytest.mark.parametrize("n", [6, 20, 64])
+    def test_functions_of_sigma_match_full_svd(self, n):
+        for _, X in left_cases(n):
+            f, g = svd(X), svd(X, left=True)
+            top = f.sigma[0]
+            assert g.V is None
+            assert np.all(np.diff(g.sigma) <= 0)
+            assert np.allclose(g.U.T @ g.U, np.eye(n), atol=n * EPS * 10)
+            assert np.max(np.abs(g.sigma - f.sigma)) <= np.sqrt(n * EPS) * top
+            for power, tol in ((1, np.sqrt(n * EPS) * top),
+                               (2, 4 * n * EPS * top**2)):
+                want = (f.U * f.sigma**power) @ f.U.T
+                got = (g.U * g.sigma**power) @ g.U.T
+                assert np.linalg.norm(got - want, 2) <= tol
+
+    def test_power_of_two_scaling_is_exact(self):
+        X = np.random.default_rng(20).standard_normal((7, 7))
+        g = svd(X, left=True)
+        for k in (-600, -3, 1, 5, 600):
+            gk = svd(np.ldexp(X, k), left=True)
+            assert np.array_equal(gk.U, g.U)
+            assert np.array_equal(gk.sigma, np.ldexp(g.sigma, k))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes(self, scale):
+        # unscaled, X X^T overflows to inf at 1e200 and underflows to 0 at
+        # 1e-200
+        R = np.random.default_rng(21).standard_normal((6, 6))
+        f, g = svd(R), svd(scale * R, left=True)
+        assert np.allclose(g.sigma / scale, f.sigma, rtol=1e-10, atol=0)
+        got = (g.U * g.sigma) @ g.U.T / scale
+        assert np.allclose(got, (f.U * f.sigma) @ f.U.T, atol=1e-12)
+
+    def test_zero_matrix(self):
+        g = svd(np.zeros((4, 4)), left=True)
+        assert np.all(g.sigma == 0)
+        assert np.allclose(g.U.T @ g.U, np.eye(4))
+        assert np.all(truncate(np.zeros(16), 2) == 0)
+        assert np.all(shrink(np.zeros((4, 4)), 0.0) == 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.eye(3)
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svd(X, left=True)
+        with pytest.raises(ValueError, match="non-finite"):
+            truncate(vec(X), 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            shrink(X, 0.5)
+
+
 class TestTruncate:
     def test_rank_one_unchanged(self):
         c = vec(np.outer([1.0, 2, 3], [4.0, 5, 6]))
@@ -75,6 +159,17 @@ class TestTruncate:
         s = svd(X).sigma
         err = np.linalg.norm(unvec(truncate(vec(X), 2), 4) - X, "fro")
         assert abs(err - np.sqrt(s[2] ** 2 + s[3] ** 2)) <= 1e-10
+
+    def test_tie_at_the_cut(self):
+        # sigma_kappa = sigma_kappa+1: U_k may hold any basis of the tied
+        # pair, and U_k U_k^T X is still a best rank-kappa approximation
+        rng = np.random.default_rng(22)
+        sigma = np.array([3.0, 2.0, 2.0, 1.0, 0.5])
+        X = (orthogonal(rng, 5) * sigma) @ orthogonal(rng, 5).T
+        T = unvec(truncate(vec(X), 2), 5)
+        assert np.linalg.svd(T, compute_uv=False)[2] <= 1e-12 * sigma[0]
+        err = np.linalg.norm(T - X, "fro")
+        assert abs(err - np.linalg.norm(sigma[2:])) <= 1e-12
 
     @given(square, st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
@@ -98,6 +193,19 @@ class TestShrink:
     def test_diagonal_example(self):
         out = shrink(np.diag([5.0, 2.0, 1.0]), 1.5)
         assert np.allclose(out, np.diag([3.5, 0.5, 0.0]), atol=1e-12)
+
+    def test_singular_value_at_threshold_maps_to_zero(self):
+        # sigma = tau is dropped, not kept with a zero factor; the diagonal
+        # Gram is exact, so sigma_2 equals tau to the last bit
+        out = shrink(np.diag([5.0, 2.0, 1.0]), 2.0)
+        assert np.allclose(out, np.diag([3.0, 0.0, 0.0]), atol=1e-14)
+        assert out[1, 1] == 0 and out[2, 2] == 0
+        # rotated, sigma_2 = sigma_3 = tau up to rounding: continuous there
+        rng = np.random.default_rng(23)
+        Q, P = orthogonal(rng, 4), orthogonal(rng, 4)
+        got = shrink((Q * [3.0, 2.0, 2.0, 0.5]) @ P.T, 2.0)
+        want = np.outer(Q[:, 0], P[:, 0])
+        assert np.linalg.norm(got - want) <= 1e-12
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

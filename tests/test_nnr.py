@@ -430,3 +430,27 @@ def test_secant_rule_inside_gmres_lands_in_band():
                        lambda_rule="secant", x_exact=prob.x_exact)
     assert rep.stop_reason == "discrepancy"
     assert eps * 0.0 <= rep.residuals[-1] <= 1.01 * eps
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "lsqr", "max_iter": 8},
+    {"name": "lr-flsqr", "max_iter": 8, "kappa_B": 4, "kappa": 4},
+    {"name": "flsqr-nnrp", "max_iter": 8},
+    {"name": "flsqr-nnrp-v", "max_iter": 8},
+    {"name": "svt", "max_iter": 8},
+    {"name": "irn-lsqr-nnrp", "max_outer": 3, "max_inner": 4},
+], ids=lambda spec: spec["name"])
+def test_full_svd_runs_only_for_recorded_spectra(monkeypatch, spec):
+    # one full SVD per recorded spectrum: the best iterate's of a
+    # single-loop solver, and each IRN outer cycle's; truncation,
+    # shrinkage and the flexible reweighters take svd(X, left=True)
+    problem = cli.build_problem(
+        {"type": "inpainting", "n": 16, "rank_cap": 8, "seed": 0})
+    calls, full = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or full(*a, **k))
+    report = cli.run_solver(spec, problem)
+    cycles = max(report.outer_indices) + 1
+    assert len(report.spectra) == cycles
+    assert len(calls) == cycles
+    assert cycles == (3 if spec["name"].startswith("irn") else 1)
