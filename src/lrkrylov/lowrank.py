@@ -2,12 +2,13 @@
 the reweighting transform of the smooth Schatten-p surrogate, built from
 the left singular vectors U.
 
-Truncation, shrinkage and the reweighters of the flexible solvers need
-only U and sigma, so they take ``svd(X, left=True)``, the eigenvectors of
-the Gram matrix X X^T, which costs less than the full SVD.  Its sigma is
-accurate only to about sqrt(eps) sigma_1, absolute, so a spectrum that is
-recorded (the best iterate's, the IRN outer cycle's, from which the IRN
-reweighter is built too) keeps the full SVD.
+No caller reads V, so ``svd`` returns U and sigma only.  Truncation,
+shrinkage and the reweighters of the flexible solvers take
+``svd(X, left=True)``, the eigenvectors of the Gram matrix X X^T, which
+costs less than the full SVD.  Its sigma is accurate only to about
+sqrt(eps) sigma_1, absolute, so a spectrum that is recorded (the best
+iterate's, the IRN outer cycle's, from which the IRN reweighter is built
+too) keeps LAPACK's full SVD.
 
 The weight matrix W = I (x) diag(w) and the orthogonal transform
 S = I (x) U^T are never materialized; all applications go through
@@ -31,7 +32,6 @@ __all__ = [
     "shrink",
     "build_reweighter",
     "build_reweighter_from_basis",
-    "identity_reweighter",
     "apply_transform",
     "precondition",
 ]
@@ -39,42 +39,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SvdTriple:
-    """SVD factors U, sigma (nonincreasing), V of a square matrix; V is
-    None for a left factorization."""
+    """Left singular vectors U and singular values sigma (nonincreasing)
+    of a square matrix."""
 
     U: np.ndarray
     sigma: np.ndarray
-    V: np.ndarray | None
 
 
 def svd(X, left=False):
-    """Full SVD X = U diag(sigma) V^T, column signs as LAPACK gives them.
+    """U and sigma of X = U diag(sigma) V^T from LAPACK's full SVD, column
+    signs as LAPACK gives them; V^T is discarded.
 
-    With ``left``, U and sigma alone (V is None), from ``eigh`` of the
-    Gram matrix Y Y^T of Y = 2^-e X, 2^e the power of two above max |X|.
-    The scaling is exact, so the Gram cannot overflow or lose X to
-    underflow, and 2^k X gives the same U and sigma times 2^k.  The Gram
-    is known to about n eps sigma_1^2, so sigma is accurate to about
-    sqrt(eps) sigma_1, absolute, and the columns of U for singular values
-    below that may mix.  The flexible reweighters that take this path are
-    ``build_reweighter_from_basis`` and ``nnr.flexible_nnrp``'s.
+    With ``left``, from ``eigh`` of the Gram matrix Y Y^T of Y = 2^-e X, 2^e
+    the power of two above max |X|.  The scaling is exact, so the Gram
+    cannot overflow or lose X to underflow, and 2^k X gives the same U and
+    sigma times 2^k.  The Gram is known to about n eps sigma_1^2, so sigma
+    is accurate to about sqrt(eps) sigma_1, absolute, and the columns of U
+    for singular values below that may mix.  The flexible reweighters that
+    take this path are ``build_reweighter_from_basis`` and
+    ``nnr.flexible_nnrp``'s.
 
-    Every caller pairs column i of U with itself (U_k U_k^T, U D U^T) or
-    with column i of V, so negating a column negates only factors that
-    meet in pairs; negation is exact, so a sign convention would change
-    no bit.
+    Every caller pairs column i of U with itself (U_k U_k^T, U D U^T), so
+    negating a column negates only factors that meet in pairs; negation
+    is exact, so a sign convention would change no bit.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix has non-finite entries")
     if not left:
-        U, s, Vt = np.linalg.svd(X)
-        return SvdTriple(U, s, Vt.T)
+        U, s, _ = np.linalg.svd(X)
+        return SvdTriple(U, s)
     e = math.frexp(np.max(np.abs(X), initial=0.0))[1]
     Y = np.ldexp(X, -e)
     lam, Q = np.linalg.eigh(Y @ Y.T)  # ascending
     sigma = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), e)
-    return SvdTriple(Q[:, ::-1], sigma, None)
+    return SvdTriple(Q[:, ::-1], sigma)
 
 
 def truncate(c, kappa):
@@ -118,11 +117,6 @@ class Reweighter:
         return self.U.shape[0]
 
 
-def identity_reweighter(n):
-    """W_0 = I, S_0 = I: the starting reweighter of every solver."""
-    return Reweighter(np.eye(n), np.ones(n))
-
-
 def build_reweighter(f, p, gamma):
     """Reweighter from the ``svd`` f of the current iterate: inverse
     weights (sigma_i^2 + gamma)^{1/2 - p/4}."""
@@ -163,11 +157,7 @@ def apply_transform(rw, v, direction, weight_power=0):
     so round-tripping with weight_power 0 is the identity, and composing
     ("S", q) then ("S_transpose", 0) gives S^T W^q S.
     """
-    v = np.asarray(v, dtype=float)
-    n = rw.side
-    if v.size != n * n:
-        raise ValueError(f"expected length {n * n}, got {v.size}")
-    M = unvec(v, n)
+    M = unvec(np.asarray(v, dtype=float), rw.side)
     d = _weight_diag(rw, weight_power)
     if direction == "S":
         out = d[:, None] * (rw.U.T @ M)

@@ -1,16 +1,17 @@
 """Dense helpers that only the tests use.
 
-Explicit-matrix operators and their assembly, the product of an SVD, the
+Explicit-matrix operators and their assembly, NumPy's full SVD, the
 smooth Schatten-p surrogate with its gradient, which the reweighter's
 weights are derived from, and a reference RS-LR-GMRES cycle.  They build
 dense n^2 x n^2 matrices, extra SVDs or whole bases per step, so they
-stay out of the package.
+stay out of the package, and take their SVDs from NumPy, not from the
+code they check.
 """
 
 import numpy as np
 
 from lrkrylov.linops import LinearOperator
-from lrkrylov.lowrank import svd, truncate
+from lrkrylov.lowrank import truncate
 
 
 def from_dense(A, image_side=None):
@@ -41,9 +42,10 @@ def to_dense(op):
     return A
 
 
-def reconstruct(f):
-    """U diag(sigma) V^T of an ``SvdTriple``."""
-    return (f.U * f.sigma) @ f.V.T
+def full_svd(X):
+    """(U, sigma, V) with X = U diag(sigma) V^T, from ``np.linalg.svd``."""
+    U, sigma, Vt = np.linalg.svd(np.asarray(X, dtype=float))
+    return U, sigma, Vt.T
 
 
 def smooth_schatten(X, p, gamma):
@@ -58,9 +60,9 @@ def smooth_schatten_gradient(X, p, gamma):
     """Gradient p (X X^T + gamma I)^{p/2 - 1} X, computed via the SVD."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    f = svd(X)
-    scale = p * (f.sigma**2 + gamma) ** (p / 2.0 - 1.0)
-    return (f.U * (scale * f.sigma)) @ f.V.T
+    U, sigma, V = full_svd(X)
+    scale = p * (sigma**2 + gamma) ** (p / 2.0 - 1.0)
+    return (U * (scale * sigma)) @ V.T
 
 
 def rs_lr_gmres_lstsq(op, b, restart_len, truncation_rank):

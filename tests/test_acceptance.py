@@ -22,6 +22,7 @@ from lrkrylov.krylov import (
 )
 from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
+    SvdTriple,
     apply_transform,
     build_reweighter,
     precondition,
@@ -44,6 +45,7 @@ from lrkrylov.report import Discrepancy, SolveReport
 
 from dense import (
     from_dense,
+    full_svd,
     smooth_schatten,
     smooth_schatten_gradient,
     to_dense,
@@ -164,10 +166,10 @@ def test_04_reweighted_solve_reaches_fixed_point():
     A = rng.standard_normal((n * n, n * n))
     op = from_dense(A, n)
     b = rng.standard_normal(n * n)
-    f = svd(rng.standard_normal((n, n)))
-    rw = build_reweighter(f, 1.0, 1e-2)
+    U, sigma, V = full_svd(rng.standard_normal((n, n)))
+    rw = build_reweighter(SvdTriple(U, sigma), 1.0, 1e-2)
     lam = 0.1
-    S = np.kron(f.V.T, f.U.T)  # the paper's two-sided transform
+    S = np.kron(V.T, U.T)  # the paper's two-sided transform
     W = np.diag(np.tile(1.0 / rw.inv_weights, n))
     x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
     worst = 0.0
@@ -183,9 +185,9 @@ def test_04_reweighted_solve_reaches_fixed_point():
 
 def test_05_implicit_transform_matches_kronecker():
     rng = np.random.default_rng(103)
-    f = svd(rng.standard_normal((4, 4)))
-    rw = build_reweighter(f, 0.75, 1e-2)
-    S = np.kron(f.V.T, f.U.T)  # the paper's transform, for S^T W^q S
+    U, sigma, V = full_svd(rng.standard_normal((4, 4)))
+    rw = build_reweighter(SvdTriple(U, sigma), 0.75, 1e-2)
+    S = np.kron(V.T, U.T)  # the paper's transform, for S^T W^q S
     S1 = np.kron(np.eye(4), rw.U.T)  # the package's S' = I (x) U^T
     W_diag = np.tile(1.0 / rw.inv_weights, 4)
     worst = 0.0

@@ -72,7 +72,7 @@ def check_gkb(A, state):
 
 
 @given(operators(square=True), PRECONDITIONERS)
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 def test_arnoldi(case, precondition):
     A, side, rank, seed = case
     n = side * side
@@ -86,7 +86,7 @@ def test_arnoldi(case, precondition):
 
 
 @given(operators(square=False), PRECONDITIONERS)
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 def test_gkb(case, precondition):
     A, side, rank, seed = case
     rows, n = A.shape
@@ -106,7 +106,7 @@ def test_gkb(case, precondition):
 
 @given(st.integers(3, 6), st.integers(0, 2**32 - 1), PRECONDITIONERS,
        st.booleans())
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 def test_identity_breaks_down_at_first_step(side, seed, precondition, gkb):
     # b is a rank-2 image, which a rank-2 truncation leaves as it is, so
     # the flexible processes break down at once too

@@ -7,17 +7,17 @@ from hypothesis.extra.numpy import arrays
 from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
     Reweighter,
+    SvdTriple,
     apply_transform,
     build_reweighter,
     build_reweighter_from_basis,
-    identity_reweighter,
     precondition,
     shrink,
     svd,
     truncate,
 )
 
-from dense import reconstruct, smooth_schatten, smooth_schatten_gradient
+from dense import full_svd, smooth_schatten, smooth_schatten_gradient
 
 square = arrays(np.float64, (4, 4),
                 elements=st.floats(-10, 10, allow_nan=False))
@@ -28,7 +28,7 @@ class TestSvd:
         f = svd(np.diag([3.0, 1.0]))
         assert np.allclose(f.sigma, [3, 1])
         assert np.allclose(f.U, np.eye(2))
-        assert np.allclose(f.V, np.eye(2))
+        assert not hasattr(f, "V")  # nothing reads V, so none is kept
 
     def test_zero_matrix(self):
         assert np.all(svd(np.zeros((3, 3))).sigma == 0)
@@ -39,8 +39,12 @@ class TestSvd:
         assert np.allclose(svd(X).sigma, np.sqrt(ev), atol=1e-9)
 
     def test_reconstruct(self):
+        # X = U diag(sigma) V^T with the orthogonal V = X^T U / sigma
         X = np.random.default_rng(1).standard_normal((5, 5))
-        assert np.allclose(reconstruct(svd(X)), X, atol=1e-12)
+        f = svd(X)
+        V = X.T @ f.U / f.sigma
+        assert np.allclose(V.T @ V, np.eye(5), atol=1e-12)
+        assert np.allclose((f.U * f.sigma) @ V.T, X, atol=1e-12)
 
     def test_repeat_factorization_deterministic(self):
         X = np.random.default_rng(2).standard_normal((5, 5))
@@ -89,9 +93,8 @@ class TestLeftSvd:
     @pytest.mark.parametrize("n", [6, 20, 64])
     def test_functions_of_sigma_match_full_svd(self, n):
         for _, X in left_cases(n):
-            f, g = svd(X), svd(X, left=True)
+            f, g = SvdTriple(*full_svd(X)[:2]), svd(X, left=True)
             top = f.sigma[0]
-            assert g.V is None
             assert np.all(np.diff(g.sigma) <= 0)
             assert np.allclose(g.U.T @ g.U, np.eye(n), atol=n * EPS * 10)
             assert np.max(np.abs(g.sigma - f.sigma)) <= np.sqrt(n * EPS) * top
@@ -114,7 +117,7 @@ class TestLeftSvd:
         # unscaled, X X^T overflows to inf at 1e200 and underflows to 0 at
         # 1e-200
         R = np.random.default_rng(21).standard_normal((6, 6))
-        f, g = svd(R), svd(scale * R, left=True)
+        f, g = SvdTriple(*full_svd(R)[:2]), svd(scale * R, left=True)
         assert np.allclose(g.sigma / scale, f.sigma, rtol=1e-10, atol=0)
         got = (g.U * g.sigma) @ g.U.T / scale
         assert np.allclose(got, (f.U * f.sigma) @ f.U.T, atol=1e-12)
@@ -156,7 +159,7 @@ class TestTruncate:
 
     def test_eckart_young_error(self):
         X = np.random.default_rng(4).standard_normal((4, 4))
-        s = svd(X).sigma
+        s = np.linalg.svd(X, compute_uv=False)
         err = np.linalg.norm(unvec(truncate(vec(X), 2), 4) - X, "fro")
         assert abs(err - np.sqrt(s[2] ** 2 + s[3] ** 2)) <= 1e-10
 
@@ -257,19 +260,26 @@ class TestSmoothSchatten:
             smooth_schatten_gradient(np.eye(2), 1.0, -1.0)
 
 
-def explicit_pair(f, rw):
+def paper_reweighter(X, p, gamma):
+    """The reweighter built from NumPy's SVD of X, and that SVD's V."""
+    U, sigma, V = full_svd(X)
+    return build_reweighter(SvdTriple(U, sigma), p, gamma), V
+
+
+def explicit_pair(rw, V):
     """Dense transforms and diag(W) for cross-checking: the paper's
-    S = V^T (x) U^T from the SVD f, and the package's S' = I (x) U^T."""
+    S = V^T (x) U^T, and the package's S' = I (x) U^T."""
     n = rw.side
     with np.errstate(divide="ignore"):
         w = 1.0 / rw.inv_weights
     W_diag = np.tile(w, n)  # I (x) diag(w) scales rows of unvec
-    return np.kron(f.V.T, f.U.T), np.kron(np.eye(n), rw.U.T), W_diag
+    return np.kron(V.T, rw.U.T), np.kron(np.eye(n), rw.U.T), W_diag
 
 
 class TestReweighter:
     def test_identity_reweighter(self):
-        rw = identity_reweighter(4)
+        # W_0 = S_0 = I, which the solvers run as no reweighter at all
+        rw = Reweighter(np.eye(4), np.ones(4))
         v = np.random.default_rng(9).standard_normal(16)
         assert np.allclose(apply_transform(rw, v, "S"), v)
         assert np.allclose(precondition(rw, v, -2), v)
@@ -294,9 +304,8 @@ class TestReweighter:
     def test_matches_explicit_kronecker(self, power):
         # the composite against the paper's S, the transform against S'
         rng = np.random.default_rng(13)
-        f = svd(rng.standard_normal((4, 4)))
-        rw = build_reweighter(f, 0.75, 1e-2)
-        S, S1, W_diag = explicit_pair(f, rw)
+        rw, V = paper_reweighter(rng.standard_normal((4, 4)), 0.75, 1e-2)
+        S, S1, W_diag = explicit_pair(rw, V)
         for _ in range(10):
             v = rng.standard_normal(16)
             want = S.T @ (W_diag**power * (S @ v))
@@ -311,10 +320,10 @@ class TestReweighter:
         rng = np.random.default_rng(18)
         for _ in range(8):
             n = int(rng.integers(2, 7))
-            f = svd(rng.standard_normal((n, n)))
-            rw = build_reweighter(f, rng.uniform(0.1, 1.0),
-                                  10.0 ** rng.uniform(-6, 0))
-            S, _, W_diag = explicit_pair(f, rw)
+            rw, V = paper_reweighter(rng.standard_normal((n, n)),
+                                     rng.uniform(0.1, 1.0),
+                                     10.0 ** rng.uniform(-6, 0))
+            S, _, W_diag = explicit_pair(rw, V)
             v = rng.standard_normal(n * n)
             for power in (-2, -1, 0, 1):
                 paper = W_diag**power * (S @ v)
@@ -334,9 +343,11 @@ class TestReweighter:
         assert np.allclose(twice, precondition(rw, v, -2), atol=1e-12)
 
     def test_wrong_length_rejected(self):
-        rw = identity_reweighter(4)
-        with pytest.raises(ValueError):
+        rw = Reweighter(np.eye(4), np.ones(4))
+        with pytest.raises(ValueError, match="length 16"):
             apply_transform(rw, np.zeros(15), "S")
+        with pytest.raises(ValueError, match="length 16"):
+            precondition(rw, np.zeros(15), 0)
         with pytest.raises(ValueError):
             apply_transform(rw, np.zeros(16), "sideways")
 
@@ -375,10 +386,10 @@ class TestBasisVariantReweighter:
         v = rng.standard_normal(25)
         for p in (1.0, 0.75):
             rw = build_reweighter_from_basis(v, p)
-            f = svd(unvec(v, 5))
-            want = vec((f.U * f.sigma ** (1.5 - p / 4)) @ f.V.T)
+            U, sigma, V = full_svd(unvec(v, 5))
+            want = vec((U * sigma ** (1.5 - p / 4)) @ V.T)
             assert np.allclose(precondition(rw, v, -1), want, atol=1e-10)
-            want2 = vec((f.U * f.sigma ** (2.0 - p / 2)) @ f.V.T)
+            want2 = vec((U * sigma ** (2.0 - p / 2)) @ V.T)
             assert np.allclose(precondition(rw, v, -2), want2, atol=1e-10)
 
     def test_rank_one_stays_parallel(self):

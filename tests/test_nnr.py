@@ -6,8 +6,8 @@ from lrkrylov.krylov import projected_svd
 from lrkrylov.linops import unvec, vec
 from lrkrylov.lowrank import (
     Reweighter,
+    SvdTriple,
     build_reweighter,
-    identity_reweighter,
     shrink,
     svd,
 )
@@ -21,10 +21,10 @@ from lrkrylov.nnr import (
     secant_lambda_update,
     svt,
 )
-from lrkrylov.problems import star_problem
+from lrkrylov.problems import phantom_problem, star_problem
 from lrkrylov.report import Discrepancy, SolveReport
 
-from dense import from_dense, to_dense
+from dense import from_dense, full_svd, to_dense
 
 
 class TestStoppingRules:
@@ -168,10 +168,10 @@ class TestReweightedSolve:
         A = rng.standard_normal((n * n, n * n))
         op = from_dense(A, n)
         b = rng.standard_normal(n * n)
-        f = svd(rng.standard_normal((n, n)))
-        rw = build_reweighter(f, 1.0, 1e-2)
+        U, sigma, V = full_svd(rng.standard_normal((n, n)))
+        rw = build_reweighter(SvdTriple(U, sigma), 1.0, 1e-2)
         lam = 0.1
-        S = np.kron(f.V.T, f.U.T)
+        S = np.kron(V.T, U.T)
         W = np.diag(np.tile(1.0 / rw.inv_weights, n))
         x_oracle = np.linalg.solve(A.T @ A + lam * S.T @ W @ W @ S, A.T @ b)
         x, _ = reweighted_krylov_solve(op, b, rw, n * n, SolveReport(),
@@ -185,12 +185,13 @@ class TestReweightedSolve:
         A = rng.standard_normal((n * n, n * n))
         op = from_dense(A, n)
         b = rng.standard_normal(n * n)
-        rw = identity_reweighter(n)
         lam = 0.05
         want = np.linalg.solve(A.T @ A + lam * np.eye(n * n), A.T @ b)
-        x, _ = reweighted_krylov_solve(op, b, rw, n * n, SolveReport(),
-                                       "fixed", lam, gkb=inner == "gkb")
-        assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+        # no reweighter, which the solvers start from, and an explicit one
+        for rw in (None, Reweighter(np.eye(n), np.ones(n))):
+            x, _ = reweighted_krylov_solve(op, b, rw, n * n, SolveReport(),
+                                           "fixed", lam, gkb=inner == "gkb")
+            assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("inner", ["gkb", "arnoldi"])
     def test_reweighted_operator_has_true_adjoint(self, inner):
@@ -280,6 +281,25 @@ class TestIrnSolvers:
             NnrConfig(theta=1.0)
         with pytest.raises(ValueError):
             NnrConfig(max_outer=0)
+
+    @pytest.mark.parametrize("rule", ["zero", "optimal"])
+    @pytest.mark.parametrize("gkb", [True, False])
+    def test_first_cycle_is_the_plain_solve(self, gkb, rule):
+        # W_0 = S_0 = I: cycle 0 of irn-lsqr-nnrp (phantom n=32) or
+        # irn-gmres-nnrp (star n=16) is lsqr or gmres with max_iter =
+        # max_inner, to the bit in residuals, lambdas and relative errors
+        prob = (phantom_problem(32, seed=0) if gkb
+                else star_problem(16, noise_level=1e-3, seed=3))
+        cfg = NnrConfig(max_outer=2, max_inner=30, lambda_rule=rule,
+                        tau_sigma=0.0)
+        rep = irn_nnrp(prob.op, prob.b, cfg, gkb=gkb, x_exact=prob.x_exact)
+        base = (krylov.lsqr if gkb else krylov.gmres)(
+            prob.op, prob.b, cfg.max_inner, lambda_rule=rule,
+            x_exact=prob.x_exact)
+        first = rep.outer_indices.count(0)
+        assert first == len(base.iterations) and first < len(rep.iterations)
+        for key in ("residuals", "lambdas", "rel_errors"):
+            assert getattr(rep, key)[:first] == getattr(base, key), key
 
     @pytest.mark.parametrize("inner,base", [("arnoldi", krylov.gmres),
                                             ("gkb", krylov.lsqr)])
