@@ -38,9 +38,10 @@ rank cutoff hands that step and the rest of the run to the SVD, which
 keeps the minimum-norm answer.  The other rules are served by one thin
 SVD H = P S Q^T of the projected matrix per iteration, so a trial lambda
 costs O(k), not a least-squares solve (the SVD-filter form of hybrid
-methods, Chung, Nagy & O'Leary 2008); the optimal rule filters a whole
-log grid of trial lambdas in one array expression, and refines the grid
-around its best point.
+methods, Chung, Nagy & O'Leary 2008); the optimal rule filters a log
+grid of trial lambdas in one array expression, then polishes its best
+point by safeguarded Newton iteration in log(lambda) on the closed-form
+error and its first two derivatives, also O(k) each.
 
 The hybrid loop builds an iterate Z_k y only where something reads it:
 at every step of a flexible run, of a run whose iterates are mapped
@@ -83,9 +84,9 @@ _SKIP = 4 * np.finfo(float).eps  # no update when ||Q^T w|| is this of ||w||
 _PERIOD_MAX = 8  # most half-steps between a standard GKB basis's passes
 _PROBES = 2  # random-sign sums of that basis, checked between passes
 _PROBE_LOSS = 1e-14  # a pass when they put ||Q^T w|| above this of ||w||
-_LAMBDA_GRID = np.logspace(-16, 2, 37)  # the optimal rule's first grid
-_REFINE = 129  # points of each grid that refines it
-_RESOLUTION = 1e-9  # its last bracket in log(lambda): relative in lambda
+_LAMBDA_GRID = np.logspace(-16, 2, 37)  # the optimal rule's grid
+_NEWTON_TOL = 1e-12  # the polish stops at a step this small in log(lambda)
+_NEWTON_MAX = 64  # and after this many steps (bisection needs about 42)
 _LAMBDA_MAX = 1e10  # ceiling of the secant rule's lambda
 
 
@@ -175,7 +176,7 @@ def _extend(w, Q, P, k, sweeps=None):
     P[h.size, k] = norm
     if norm <= _BREAKDOWN_REL * max(np.abs(h).max(initial=0.0), 1.0):
         return None
-    return w / norm
+    return np.divide(w, norm, out=w)  # w is a fresh array here
 
 
 @dataclass
@@ -410,27 +411,54 @@ def secant_lambda_update(history, epsilon, theta, h_norm2):
 
 
 def optimal_lambda_search(svd, target):
-    """Minimize ||target - y(lambda)|| over lambda (test-harness oracle);
-    y(lambda) is filtered from ``svd = projected_svd(H, beta)``.  One step,
-    repeated: filter every lambda of a log grid at once, starting from
-    _LAMBDA_GRID, then lay a grid of _REFINE points between the two
-    neighbours of the best, until they lie within _RESOLUTION in
-    log(lambda).  A trial costs O(k): for a tall H, Q is square and
-    ||target - Q f|| = ||Q^T target - f||.  The bottom of the first grid
-    stands for "no regularization needed": 0.0."""
+    """Minimize E(lambda) = ||target - y(lambda)||^2 (test-harness
+    oracle), y(lambda) filtered from ``svd = projected_svd(H, beta)``:
+    for a tall H, Q is square, so E = ||t - f||^2 with t = Q^T target and
+    f = s c / (s^2 + lambda), O(k) a trial.  Filter all of _LAMBDA_GRID
+    at once; its bottom point stands for "no regularization needed", 0.0.
+    Otherwise polish the best point i by Newton's method on dE/dmu = 0,
+    mu = log(lambda), in (grid[i - 1], grid[i + 1]): with r = t - f and
+    w = lambda / (s^2 + lambda), dE/dmu = 2 sum(r f w) and d2E/dmu2 =
+    2 sum(f^2 w^2 + r f w (1 - 2 w)).  A step that leaves the bracket or
+    follows a curvature <= 0 bisects instead; the sign of dE/dmu keeps
+    the half that holds the minimum.  Stop at a step below _NEWTON_TOL and
+    return the better of that point and grid[i]; 0.0 if it is <= grid[1].
+    """
     t = svd[1].T @ target
     grid = _LAMBDA_GRID
-    while True:
-        errs = np.linalg.norm(t - _filtered(svd, grid[:, None]), axis=1)
-        i = int(np.argmin(errs))
-        if i == 0 and grid is _LAMBDA_GRID:  # refined, still <= grid[1]
-            return 0.0
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        if np.log(hi / lo) < _RESOLUTION:
-            break
-        grid = np.geomspace(lo, hi, _REFINE)
+    errs = np.linalg.norm(t - _filtered(svd, grid[:, None]), axis=1)
+    i = int(np.argmin(errs))
+    if i == 0:
+        return 0.0
+    s, _, c, _ = svd
+    s2, sc = s * s, s * c
     lam = float(grid[i])
-    return 0.0 if lam <= _LAMBDA_GRID[1] else lam
+    r = t - sc / (s2 + lam)
+    at_grid = r @ r
+    lo, hi = math.log(grid[i - 1]), math.log(grid[min(i + 1, grid.size - 1)])
+    mu = math.log(lam)
+    for _ in range(_NEWTON_MAX):
+        f = sc / (s2 + lam)
+        w = lam / (s2 + lam)
+        r = t - f
+        fw = f * w
+        grad = float(r @ fw)  # halves of dE/dmu and d2E/dmu2
+        curv = float(fw @ fw + (r * fw) @ (1.0 - 2.0 * w))
+        if grad > 0:
+            hi = mu
+        else:
+            lo = mu
+        step = -grad / curv if curv > 0 else math.inf
+        if not lo < mu + step < hi:
+            step = 0.5 * (lo + hi) - mu
+        mu += step
+        lam = math.exp(mu)
+        if abs(step) < _NEWTON_TOL:
+            break
+    r = t - sc / (s2 + lam)
+    if not r @ r <= at_grid:
+        lam = float(grid[i])
+    return 0.0 if lam <= grid[1] else lam
 
 
 def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,

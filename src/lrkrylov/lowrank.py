@@ -155,17 +155,19 @@ def apply_transform(rw, v, direction, weight_power=0):
     direction "S_transpose":  S^T @ (W^q v) = vec(U (D unvec(v)))
 
     so round-tripping with weight_power 0 is the identity, and composing
-    ("S", q) then ("S_transpose", 0) gives S^T W^q S.
+    ("S", q) then ("S_transpose", 0) gives S^T W^q S.  Each product is
+    formed transposed, (M^T U) D and (D M)^T U^T, so that its row-major
+    result is the column-major matrix that ``vec`` reads without a copy.
     """
     M = unvec(np.asarray(v, dtype=float), rw.side)
     d = _weight_diag(rw, weight_power)
     if direction == "S":
-        out = d[:, None] * (rw.U.T @ M)
+        out = (M.T @ rw.U) * d
     elif direction == "S_transpose":
-        out = rw.U @ (d[:, None] * M)
+        out = (d[:, None] * M).T @ rw.U.T
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return vec(out)
+    return vec(out.T)
 
 
 def precondition(rw, v, weight_power):

@@ -53,6 +53,11 @@ class SolveReport:
     best_x: np.ndarray | None = None
     stop_reason: str = "max_iter"
     _best: int | None = field(default=None, init=False, repr=False)
+    _scale: float | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):  # ||x_exact||, which every relative error reads
+        if self.x_exact is not None:
+            self._scale = np.linalg.norm(self.x_exact)
 
     def record(self, outer, x, residual, lam, err=None):
         """Append iterate ``x`` of cycle ``outer`` as iteration len + 1, so
@@ -65,7 +70,7 @@ class SolveReport:
         self.lambdas.append(float(lam))
         xe = self.x_exact
         if err is None and xe is not None:
-            err = np.linalg.norm(xe - x) / np.linalg.norm(xe)
+            err = np.linalg.norm(xe - x) / self._scale
         err = np.nan if err is None else float(err)
         if not np.isnan(err) and not err >= self.best[1]:  # NaN: none yet
             self._best = len(self.rel_errors)

@@ -10,10 +10,11 @@ exactly, and ``min_rel_error`` and the last recorded residual to 1e-8
 relative.
 
 Under the optimal rule the last residual is held to 1e-5 only.  That rule
-picks lambda by refining a log grid on an error that is flat near its
-minimum, so lambda, and the residual with it, are fixed by rounding to
-about 1e-6: stacking the projected Tikhonov problem as [sqrt(lambda) I; H]
-instead of [H; sqrt(lambda) I], the same problem, moved the recorded
+picks lambda from a log grid, polished by Newton's method in
+log(lambda), on an error that is flat near its minimum, so lambda, and
+the residual with it, are fixed by rounding to about 1e-6: stacking the
+projected Tikhonov problem as [sqrt(lambda) I; H] instead of
+[H; sqrt(lambda) I], the same problem, moved the recorded
 residuals of ``inpainting/lsqr/optimal/nostop`` by up to 1.4e-6 and the
 last one by 2.7e-8.  The error that the search minimizes is flat there,
 so ``min_rel_error`` still holds to 1e-8.

@@ -11,7 +11,8 @@ no worse conditioned than A, and two backward-stable solvers must agree
 to about cond^2 eps.
 
 The zero rule's updated QR (``krylov._GivensQR``) is held to ``lstsq`` at
-every k on operators of cond <= 1e8.
+every k on operators of cond <= 1e8, and the optimal rule's Newton-polished
+lambda to the refinement of log grids in ``tikhonov_oracle.py``.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from lrkrylov.krylov import (
 )
 
 from dense import from_dense
+from tikhonov_oracle import optimal_lambda_search as grid_search
 from tikhonov_oracle import projected_tikhonov as oracle
 
 SIDE = 7
@@ -127,6 +129,28 @@ def test_optimal_lambda_beats_every_grid_point(problem, lam_true, noise,
     # lambda = 0 stands for the bottom of the grid, which it matches to
     # about grid[1] cond^2 ||y|| = 3e-12 ||y||
     assert err(lam) <= best + 1e-10 * np.linalg.norm(target)
+
+
+@settings(deadline=None)
+@given(projected(), st.floats(1e-10, 10.0), st.floats(0.0, 1e-2), st.data())
+def test_newton_polish_matches_grid_refinement(problem, lam_true, noise,
+                                               data):
+    # the Newton-polished lambda is no worse than the refinement of log
+    # grids down to 1e-9 that it replaced, on the same filtered error
+    H, beta = problem
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    svd = projected_svd(H, beta)
+    y_true, _ = projected_tikhonov(H, beta, lam_true, svd)
+    target = y_true + noise * np.linalg.norm(y_true) * rng.standard_normal(
+        y_true.size)
+
+    def err(lam):
+        return np.linalg.norm(target - projected_tikhonov(H, beta, lam,
+                                                          svd)[0])
+
+    lam = optimal_lambda_search(svd, target)
+    assert err(lam) <= err(grid_search(svd, target)) + 1e-12 * (
+        np.linalg.norm(target))
 
 
 @settings(deadline=None)

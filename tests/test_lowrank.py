@@ -335,6 +335,23 @@ class TestReweighter:
                 assert np.linalg.norm(got - want) <= (
                     1e-12 * np.linalg.norm(want))
 
+    @pytest.mark.parametrize("n", [128, 192])
+    def test_transform_is_bitwise_the_plain_products(self, n):
+        # the transposed products that vec reads without a copy give the
+        # same bits as d (U^T M) and U (d M), for LAPACK's U at the
+        # tomo-irn and inpaint-lowrank sizes
+        rng = np.random.default_rng(n)
+        rw = build_reweighter(svd(rng.standard_normal((n, n))), 1.0, 1e-2)
+        for power in (-1, 0, 1):
+            v = rng.standard_normal(n * n)
+            M, d = unvec(v, n), rw.inv_weights ** -power
+            got = apply_transform(rw, v, "S", weight_power=power)
+            assert np.array_equal(got, vec(d[:, None] * (rw.U.T @ M)))
+            assert not got.flags.owndata  # a view of the product
+            got = apply_transform(rw, v, "S_transpose", weight_power=power)
+            assert np.array_equal(got, vec(rw.U @ (d[:, None] * M)))
+            assert not got.flags.owndata
+
     def test_composed_powers(self):
         rw = build_reweighter(
             svd(np.random.default_rng(14).standard_normal((5, 5))), 1.0, 0.1)

@@ -108,11 +108,11 @@ class TestSecant:
 class TestOptimalLambda:
     def test_scalar_closed_form(self):
         # y(lambda) = h beta / (h^2 + lambda); target 1 with h=1, beta=2
-        # is hit exactly at lambda = 1, to the search's resolution in
-        # log(lambda)
+        # is hit exactly at lambda = 1, which the Newton polish finds to
+        # its step tolerance in log(lambda)
         H = np.array([[1.0], [0.0]])
         lam = optimal_lambda_search(projected_svd(H, 2.0), np.array([1.0]))
-        assert abs(np.log(lam)) <= krylov._RESOLUTION
+        assert abs(np.log(lam)) <= 1e-12
 
     def test_zero_when_unregularized_is_best(self):
         H = np.array([[2.0], [0.0]])
@@ -134,28 +134,34 @@ class TestOptimalLambda:
 
     def test_bottom_of_grid_returns_zero_without_refining(self, filter_calls):
         # y(lambda) = 8 / (4 + lambda) hits the target 2 only at lambda = 0,
-        # so the first grid's minimum is its bottom point: every refinement
-        # maps to 0.0, and nothing beyond the first grid is filtered
+        # so the grid's minimum is its bottom point: 0.0 at once, with no
+        # polish and nothing beyond the grid filtered
         H = np.array([[2.0], [0.0]])
         lam = optimal_lambda_search(projected_svd(H, 4.0), np.array([2.0]))
         assert lam == 0.0
         assert len(filter_calls) == 1
         assert np.array_equal(filter_calls[0], krylov._LAMBDA_GRID)
 
-    def test_one_filter_evaluation_per_grid(self, filter_calls):
-        # each grid is filtered in one call, not one call per trial lambda;
-        # each later grid lies inside the one before it, and the last one
-        # holds the answer within _RESOLUTION of its neighbours
-        H = np.array([[1.0], [0.0]])
-        lam = optimal_lambda_search(projected_svd(H, 2.0), np.array([1.0]))
-        assert np.array_equal(filter_calls[0], krylov._LAMBDA_GRID)
-        assert 1 < len(filter_calls) <= 10
-        for outer, inner in zip(filter_calls, filter_calls[1:]):
-            assert inner.size == krylov._REFINE
-            assert outer[0] <= inner[0] < inner[-1] <= outer[-1]
-        i = int(np.flatnonzero(filter_calls[-1] == lam)[0])
-        assert np.log(filter_calls[-1][i + 1] / filter_calls[-1][i - 1]) < (
-            krylov._RESOLUTION)
+    def test_one_filter_call_and_a_result_in_the_bracket(self,
+                                                         filter_calls):
+        # the grid is filtered in one call, not one call per trial lambda;
+        # the Newton polish filters nothing and stays between the two
+        # neighbours of the grid's best point.  y_i(lambda) = s_i c_i /
+        # (s_i^2 + lambda) with the target y(0.02) puts the minimum
+        # between grid points (10^-2 and 10^-1.5)
+        s = np.array([3.0, 1.0, 0.3, 0.1])
+        H = np.vstack([np.diag(s), np.zeros((1, 4))])
+        svd = projected_svd(H, 1.0)
+        target = svd[1] @ (svd[0] * svd[2] / (svd[0] ** 2 + 0.02))
+        lam = optimal_lambda_search(svd, target)
+        assert len(filter_calls) == 1
+        grid = filter_calls[0]
+        assert np.array_equal(grid, krylov._LAMBDA_GRID)
+        t = svd[1].T @ target
+        i = int(np.argmin(np.linalg.norm(
+            t - krylov._filtered(svd, grid[:, None]), axis=1)))
+        assert grid[i - 1] < lam < grid[i + 1]
+        assert abs(np.log(lam / 0.02)) <= 1e-9
 
 
 class TestReweightedSolve:
