@@ -28,6 +28,11 @@ truncated basis and A V_m = W S, by a column a step.  Bases are dense
 column-major (Fortran-order) arrays sized once by the start function from
 the step budget, so a step writes a column in place and ``V_mat()`` and
 friends are views, not copies (desk scale, N <= 65536, <= 200 steps).
+A solve hands its bases' storage back once it has built its answer, and
+later solves take theirs from it (``_basis``), so a process allocates
+its largest bases once and keeps their storage, at most _SPARE_MAX
+arrays, until it exits: then the peak memory does not depend on whether
+the heap has a hole that fits each new 10-50 MB basis.
 
 The projected problem of each iteration is served, under the zero rule,
 by an updated QR: one Givens rotation a step extends a QR factorization
@@ -52,6 +57,7 @@ the end.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +94,38 @@ _LAMBDA_GRID = np.logspace(-16, 2, 37)  # the optimal rule's grid
 _NEWTON_TOL = 1e-12  # the polish stops at a step this small in log(lambda)
 _NEWTON_MAX = 64  # and after this many steps (bisection needs about 42)
 _LAMBDA_MAX = 1e10  # ceiling of the secant rule's lambda
+_SPARE_MAX = 3  # bases kept for later solves: a flexible GKB run holds 3
+
+_spare = []  # storage of finished solves' bases, smallest first
+_spare_lock = threading.Lock()
+
+
+def _basis(rows, cols):
+    """An uninitialized Fortran (rows, cols) array for a Krylov basis, on
+    the smallest spare storage that holds it, else on new storage."""
+    size = rows * cols
+    with _spare_lock:
+        i = next((i for i, s in enumerate(_spare) if s.size >= size), None)
+        if i is None:
+            store = np.empty(size)
+            # glibc raises its mmap threshold to a mapped block's size when
+            # it frees the block; kept storage is never freed, so free an
+            # untouched block of the same size once, lest LAPACK workspaces
+            # and set-up arrays below that size be mapped, and faulted in,
+            # afresh on every call
+            np.empty(size)
+        else:
+            store = _spare.pop(i)
+    return store[:size].reshape((rows, cols), order="F")
+
+
+def _give_back(*bases):
+    """Keep the storage of bases that nothing reads any more for the next
+    solves' ``_basis``: the _SPARE_MAX largest of all that is spare."""
+    with _spare_lock:
+        _spare.extend(a.base for a in bases if a is not None)
+        _spare.sort(key=lambda s: s.size)
+        del _spare[:-_SPARE_MAX]
 
 
 def _orthogonalize(w, Q):
@@ -115,7 +153,7 @@ def _first_column(b, cols):
     beta = np.linalg.norm(b)
     if beta == 0:
         raise ValueError("start vector is zero")
-    Q = np.empty((b.size, cols), order="F")
+    Q = _basis(b.size, cols)
     Q[:, 0] = b / beta
     return beta, Q
 
@@ -225,7 +263,7 @@ def _forward(state, op, precondition, Q, P, sweeps=None):
     if precondition is not None:
         z = precondition(z)
         if state.Z is None:
-            state.Z = np.empty((z.size, P.shape[1]), order="F")
+            state.Z = _basis(z.size, P.shape[1])
         state.Z[:, k] = z
     q = _extend(op.matvec(z), Q[:, : k + 1], P, k, sweeps)
     state.k = k + 1
@@ -285,7 +323,7 @@ class GkbState:
 
 def gkb_start(op, b, steps):
     beta, U = _first_column(b, steps + 1)
-    return GkbState(beta, U, np.empty((op.cols, steps), order="F"),
+    return GkbState(beta, U, _basis(op.cols, steps),
                     np.zeros((steps + 1, steps), order="F"),
                     np.zeros((steps, steps), order="F"))
 
@@ -548,6 +586,7 @@ def hybrid(op, b, max_iter, report, gkb, lambda_rule="zero", lambda_value=0.0,
         x = report.final_x = Z[:, : len(ys)] @ ys[-1]
         if j > 0:
             report.best_x = x if j == len(ys) else Z[:, :j] @ ys[j - 1]
+    _give_back(state.U if gkb else None, state.V, state.Z)
     return x, reason
 
 
@@ -596,8 +635,8 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
     b = np.asarray(b, dtype=float)
     x = np.zeros(op.cols)
     report = SolveReport("rs-lr-gmres", x_exact, stop_reason="max_outer")
-    Q = np.empty((op.cols, restart_len + 1), order="F")  # V = Q R and
-    W = np.empty_like(Q)  # A V = W S of each cycle
+    Q = _basis(op.cols, restart_len + 1)  # V = Q R and
+    W = _basis(op.cols, restart_len + 1)  # A V = W S of each cycle
     R = np.zeros((restart_len + 1, restart_len + 1), order="F")
     S = np.zeros_like(R)
     g = np.empty(restart_len + 1)  # W^T r
@@ -636,6 +675,7 @@ def rs_lr_gmres(op, b, restart_len, truncation_rank, max_outer, stop=None,
         x = report.final_x
         if report.stop_reason == "discrepancy":
             break
+    _give_back(Q, W)
     report.add_best_spectrum(op.image_side)
     return report
 

@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 
@@ -405,6 +408,63 @@ class TestStorage:
         self.check_sized_once(gkb_start, gkb_step, op, rng.standard_normal(40),
                               {"U": (40, 21), "V": (36, 20), "M": (21, 20),
                                "T": (20, 20)})
+
+    @staticmethod
+    def flexible_solve(seed, steps=8):
+        rng = np.random.default_rng(seed)
+        op = from_dense(rng.standard_normal((40, 36)), 6)
+        return lr_flsqr(op, rng.standard_normal(40), 3, 3, steps,
+                        x_exact=rng.standard_normal(36))
+
+    @staticmethod
+    def summary(report):
+        return (report.residuals, report.rel_errors, report.final_x.tolist(),
+                report.best_x.tolist(), report.spectra[0][1].tolist())
+
+    def test_solves_reuse_basis_storage(self, monkeypatch):
+        monkeypatch.setattr(krylov, "_spare", [])
+        self.flexible_solve(30)
+        kept = [id(s) for s in krylov._spare]
+        assert len(kept) == 3  # U, V and Z
+        self.flexible_solve(31)
+        assert [id(s) for s in krylov._spare] == kept
+
+    def test_reused_storage_leaves_answers_alone(self, monkeypatch):
+        # a solve on storage that another solve wrote gives the answer it
+        # gives on new storage, and the first solve's arrays do not change
+        monkeypatch.setattr(krylov, "_spare", [])
+        first = self.flexible_solve(32)
+        before = self.summary(first)
+        other = self.flexible_solve(33)
+        assert self.summary(first) == before
+        assert self.summary(self.flexible_solve(32)) == before
+        for x in (first.final_x, first.best_x, other.final_x, other.best_x):
+            assert not any(np.shares_memory(x, s) for s in krylov._spare)
+
+    def test_threads_never_share_storage(self, monkeypatch):
+        # 6 threads switching every microsecond: a store handed to two
+        # solves at once would change their answers, and one handed back
+        # twice would appear twice among the spares
+        monkeypatch.setattr(krylov, "_spare", [])
+        expected = {s: self.summary(self.flexible_solve(s)) for s in range(6)}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(6) as pool:
+                for _ in range(3):
+                    reports = pool.map(self.flexible_solve, range(6))
+                    got.update(zip(range(6), map(self.summary, reports)))
+                    assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(s) for s in krylov._spare}) == len(krylov._spare) == 3
+
+    def test_spare_storage_keeps_the_largest(self, monkeypatch):
+        monkeypatch.setattr(krylov, "_spare", [])
+        for steps in (4, 8, 2):
+            self.flexible_solve(34, steps)
+        assert [s.size for s in krylov._spare] == [36 * 8, 36 * 8, 40 * 9]
 
 
 class TestProjectedTikhonov:
